@@ -7,7 +7,7 @@ namespace perfbench
 
 CapacityResult
 searchCapacity(const std::function<bool(double)> &meets, double floor,
-               double ceiling, double resolution)
+               double ceiling)
 {
     CapacityResult res;
     auto probe = [&](double rate) {
@@ -15,7 +15,7 @@ searchCapacity(const std::function<bool(double)> &meets, double floor,
         res.probes.push_back({rate, ok});
         return ok;
     };
-    if (!(floor > 0 && ceiling > floor && resolution > 0)) {
+    if (!(floor > 0 && ceiling > floor)) {
         res.error = "bad capacity search bracket";
         return res;
     }
@@ -41,7 +41,7 @@ searchCapacity(const std::function<bool(double)> &meets, double floor,
         res.error = os.str();
         return res;
     }
-    while (bad > good * (1.0 + resolution)) {
+    while (bad > good * (1.0 + kCapacityResolution)) {
         const double mid = 0.5 * (good + bad);
         if (probe(mid))
             good = mid;

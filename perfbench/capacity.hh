@@ -6,7 +6,7 @@
  * in effect 1.048576 ms) and stops on a fixed number of bisections, so
  * its answer sits on bucket and grid boundaries. This search doubles
  * from a floor until a probe fails, then bisects until the bracket is
- * within the requested resolution, and refuses to answer unless the
+ * within kCapacityResolution, and refuses to answer unless the
  * floor passes and some probe below the ceiling fails — a search whose
  * knee lies outside [floor, ceiling) has measured nothing.
  */
@@ -20,6 +20,9 @@
 
 namespace perfbench
 {
+
+/** Bisection stops once the failing rate is within 1% of the passing one. */
+inline constexpr double kCapacityResolution = 0.01;
 
 struct CapacityProbe
 {
@@ -42,11 +45,10 @@ struct CapacityResult
  * @p meets maps an offered rate to pass/fail. Doubling from @p floor
  * stops at the first failure; rates at or above @p ceiling are never
  * probed. Bisection then narrows [pass, fail) until
- * fail <= pass * (1 + resolution).
+ * fail <= pass * (1 + kCapacityResolution).
  */
 CapacityResult searchCapacity(const std::function<bool(double)> &meets,
-                              double floor, double ceiling,
-                              double resolution = 0.01);
+                              double floor, double ceiling);
 
 } // namespace perfbench
 

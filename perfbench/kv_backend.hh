@@ -52,9 +52,6 @@ class KvBackend final : public pimstm::runtime::ServingBackend
 
     const std::vector<RoundRecord> &rounds() const { return rounds_; }
 
-    /** Successful gets that returned a value written for another rank. */
-    u64 wrongGets() const { return wrong_gets_; }
-
     /**
      * End-of-run checks: no live pins, no key outside the rank/shadow
      * universe, every stored value written for its own rank. Returns
@@ -73,6 +70,7 @@ class KvBackend final : public pimstm::runtime::ServingBackend
     Spans &spans_;
     std::vector<RoundRecord> rounds_;
     std::vector<double> busy0_;
+    /** Successful gets that returned a value written for another rank. */
     u64 wrong_gets_ = 0;
 
     /** @{ Counter baselines taken after the preload. */

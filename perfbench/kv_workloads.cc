@@ -24,7 +24,7 @@ kvServeWorkload()
     w.op_weights = {0.95, 0.05, 0.0};
     w.lo_rate = 400e3;
     w.hi_rate = 1.2e6;
-    w.host_threads = 2;
+    w.compare_threads = 2;
     return w;
 }
 
@@ -38,7 +38,6 @@ kvDurable2pcWorkload()
     w.op_weights = {0.45, 0.40, 0.15};
     w.lo_rate = 20e3;
     w.hi_rate = 60e3;
-    w.host_threads = 1;
     return w;
 }
 

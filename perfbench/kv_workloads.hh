@@ -30,7 +30,10 @@ struct KvWorkload
      * on the default seed. The capacity search starts from hi_rate. */
     double lo_rate = 0.0;
     double hi_rate = 0.0;
-    unsigned host_threads = 1;
+    /** Host threads of the traced run's extra pass, which must repeat
+     * the one-thread simulated results and gives util.parallel_speedup;
+     * 1 means no extra pass. Timed passes always run on one thread. */
+    unsigned compare_threads = 1;
 };
 
 KvWorkload kvServeWorkload();

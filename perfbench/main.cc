@@ -6,16 +6,18 @@
  *   perfbench --workload paper_sweep|kv_serve|kv_durable_2pc
  *             --seed N --seconds S --trace 0|1 [--spans-out FILE]
  *
- * Every run starts with an untimed warm-up: a KV pass, or every
- * kRepeatStride-th run of the sweep. --trace 0 then repeats the
- * workload's pass (set-up + timed phase) while it fits in S seconds
- * and reports the end-to-end metrics: host times as medians over
- * passes, simulated metrics from the first pass after checking that
- * every pass (and the warm-up) repeated them exactly. The KV capacity
- * search runs once, after the passes. --trace 1 runs one untraced and
- * one traced pass, the KV capacity search untraced and traced, and for
- * kv_serve the pass again on one host thread, and reports the
- * per-layer metrics. The last line of stdout is one JSON object with
+ * A KV run starts with an untimed warm-up pass; the sweep warms up in
+ * each pass's set-up. --trace 0 then repeats the workload's pass
+ * (set-up + timed phase) while the next one fits in S seconds, at
+ * least once, and reports the end-to-end metrics: host times as
+ * medians over passes, simulated metrics from the first pass after
+ * checking that every pass (and the warm-up) repeated them exactly.
+ * A sweep pass takes longer than the default S, so at that S the
+ * sweep runs one pass and overruns S. The KV capacity search runs
+ * once, after the passes. --trace 1 runs one untraced and one traced
+ * pass, the KV capacity search untraced and traced, and for kv_serve
+ * the pass again on two host threads, and reports the per-layer
+ * metrics. The last line of stdout is one JSON object with
  * keys correct, attempted, failed and metrics; the exit code is 0 only
  * when every check passed.
  */
@@ -25,7 +27,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -33,6 +34,7 @@
 #include "kv_workloads.hh"
 #include "paper_sweep.hh"
 #include "report.hh"
+#include "util/host_alloc.hh"
 #include "util/thread_pool.hh"
 
 using namespace perfbench;
@@ -41,9 +43,6 @@ namespace
 {
 
 constexpr size_t kMaxPasses = 64;
-/** Every kRepeatStride-th sweep run is repeated (as the warm-up) for
- * the determinism check. */
-constexpr size_t kRepeatStride = 24;
 
 struct Args
 {
@@ -131,17 +130,18 @@ main(int argc, char **argv)
     const bool sweep = args.workload == "paper_sweep";
     const KvWorkload kv = args.workload == "kv_serve" ? kvServeWorkload()
                                                       : kvDurable2pcWorkload();
-    const unsigned threads = sweep ? 1 : kv.host_threads;
-    pimstm::util::ThreadPool::setGlobalJobs(threads);
+    // Timed passes run on one host thread: on a shared VM the speed of a
+    // second thread depends on other tenants, and it once tripled
+    // kv_serve's host_s within ten runs.
+    pimstm::util::ThreadPool::setGlobalJobs(1);
+    // Every workload runs under the allocator policy runtime::runWorkload
+    // sets on its first call. Under glibc's dynamic thresholds, KV host
+    // time depends on whether a seed-dependent buffer happens to free an
+    // mmapped chunk larger than a fiber stack: with identical simulated
+    // work, page faults per serving run differed threefold between seeds.
+    pimstm::util::tuneHostAllocator();
     auto runPass = [&](Spans &spans) {
         return sweep ? runPaperSweepPass(args.seed, spans)
-                     : runKvPass(kv, args.seed, spans);
-    };
-    // Warms the process (allocator arenas, pooled DPU memory, fiber
-    // stacks) before anything is timed; for the sweep it is also the
-    // sampled repeat its determinism check compares against.
-    auto warmUp = [&](Spans &spans) {
-        return sweep ? runPaperSweepPass(args.seed, spans, kRepeatStride)
                      : runKvPass(kv, args.seed, spans);
     };
 
@@ -163,23 +163,18 @@ main(int argc, char **argv)
                        const std::string &what) {
         check(digestDiff(simulatedDigest(a), simulatedDigest(b)), what);
     };
-    // The sweep's sampled repeat against the same runs of a full pass.
-    auto sameSample = [&](const PassResult &sample, const PassResult &full) {
-        const std::map<size_t, u64> prints(full.run_prints.begin(),
-                                           full.run_prints.end());
-        for (const auto &[run, print] : sample.run_prints) {
-            const auto it = prints.find(run);
-            if (it == prints.end() || it->second != print)
-                check("run " + std::to_string(run),
-                      "when a sweep run is repeated");
-        }
-    };
 
     std::vector<Metric> metrics;
     try {
         Spans off(false);
-        const PassResult warm = warmUp(off);
-        absorb(warm);
+        // A KV warm-up pass warms the process (allocator arenas, pooled
+        // DPU memory, fiber stacks) before anything is timed, and is
+        // the repeat the first pass must match.
+        std::optional<PassResult> warm;
+        if (!sweep) {
+            warm = runKvPass(kv, args.seed, off);
+            absorb(*warm);
+        }
         if (args.trace == 0) {
             // Passes while the next one fits in the measured time at
             // the mean pass length so far, at least one.
@@ -204,17 +199,15 @@ main(int argc, char **argv)
                 each += (each.empty() ? "" : " ") + jsonNumber(p.host_s);
             }
             const PassResult &first = passes.front();
-            if (sweep)
-                sameSample(warm, first);
-            else
-                sameSim(warm, first, "between repeated passes");
+            if (warm)
+                sameSim(*warm, first, "between repeated passes");
             const double host_s = median(host);
             metrics.push_back({"host_s", host_s, "s",
                                "median of " + std::to_string(passes.size())
                                    + " passes: " + each});
             metrics.push_back({"setup_s", median(setup), "s",
-                               "median of " + std::to_string(passes.size())
-                                   + " set-ups"});
+                               "median over " + std::to_string(passes.size())
+                                   + " passes"});
             metrics.push_back({"peak_rss_mb", peakRssMb(), "MiB", ""});
             metrics.push_back({"sim_mcycles_per_host_s",
                                static_cast<double>(first.counters.cycles)
@@ -233,10 +226,8 @@ main(int argc, char **argv)
             PassResult traced = runPass(on);
             absorb(traced);
             sameSim(untraced, traced, "between traced and untraced runs");
-            if (sweep)
-                sameSample(warm, untraced);
-            else
-                sameSim(warm, untraced, "between repeated passes");
+            if (warm)
+                sameSim(*warm, untraced, "between repeated passes");
             const auto pass_spans = on.totals();
 
             TracedExtras x;
@@ -252,15 +243,15 @@ main(int argc, char **argv)
                 x.capacity_s = cap_traced.capacity_s;
                 x.capacity_probes = cap_traced.capacity_probes;
             }
-            if (!sweep && threads > 1) {
+            if (!sweep && kv.compare_threads > 1) {
+                pimstm::util::ThreadPool::setGlobalJobs(kv.compare_threads);
+                const PassResult multi = runKvPass(kv, args.seed, off);
+                absorb(multi);
                 pimstm::util::ThreadPool::setGlobalJobs(1);
-                const PassResult one = runKvPass(kv, args.seed, off);
-                absorb(one);
-                pimstm::util::ThreadPool::setGlobalJobs(threads);
-                sameSim(untraced, one,
-                        "between 1 and " + std::to_string(threads)
+                sameSim(untraced, multi,
+                        "between 1 and " + std::to_string(kv.compare_threads)
                             + " host threads");
-                x.parallel_speedup = one.host_s / untraced.host_s;
+                x.parallel_speedup = untraced.host_s / multi.host_s;
             }
             metrics = layerMetrics(traced, pass_spans, x);
             if (!args.spans_out.empty() && !on.writeJson(args.spans_out)) {
@@ -282,7 +273,7 @@ main(int argc, char **argv)
                            + std::to_string(attempted)});
 
     std::cout << "== perfbench " << args.workload << " seed=" << args.seed
-              << " trace=" << args.trace << " host_threads=" << threads
+              << " trace=" << args.trace << " host_threads=1"
               << " ==\n";
     for (const Metric &m : metrics) {
         std::cout << "  " << m.name << " = " << jsonNumber(m.value) << " "

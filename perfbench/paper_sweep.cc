@@ -1,5 +1,7 @@
 #include "paper_sweep.hh"
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -103,7 +105,9 @@ constexpr unsigned kHighLoad = 16;
  * abort storms whose host cost swings most with the seed. */
 constexpr unsigned kReplicas = 3;
 /** Set-up repetitions per pass (setup_s is their median). */
-constexpr unsigned kSetupRepeats = 51;
+constexpr unsigned kSetupRepeats = 9;
+/** Simulated MRAM per DPU, as fig6_summary. */
+constexpr u64 kSweepMramBytes = 8 * 1024 * 1024;
 /** Points that must lie beyond a reported percentile. */
 constexpr size_t kPointsBeyond = 10;
 
@@ -153,46 +157,117 @@ latencyMetric(const std::string &name, std::vector<PointLatency> pts,
                 + " points beyond"};
 }
 
+/** One runWorkload call of the sweep. */
+struct Run
+{
+    MetadataTier tier;
+    size_t workload; ///< index into sweepWorkloads()
+    StmKind kind;
+    unsigned tasklets;
+    u64 seed;
+    std::unique_ptr<TimedWorkload> wl;
+};
+
+/** Every run of a pass, in fig6_summary's order: metadata tier,
+ * workload, STM, tasklets, replica. */
+std::vector<Run>
+sweepRuns(u64 seed, Spans &spans)
+{
+    const auto factories = sweepWorkloads();
+    std::vector<Run> runs;
+    for (MetadataTier tier : {MetadataTier::Mram, MetadataTier::Wram})
+        for (size_t w = 0; w < factories.size(); ++w)
+            for (StmKind kind : pimstm::core::allStmKinds())
+                for (unsigned t : kTasklets)
+                    for (unsigned r = 0; r < kReplicas; ++r)
+                        runs.push_back({tier, w, kind, t, seed + r * 7919,
+                                        std::make_unique<TimedWorkload>(
+                                            factories[w](), spans)});
+    return runs;
+}
+
+enum class Outcome
+{
+    Ran,
+    NotRunnable, ///< the designed "WRAM metadata does not fit" case
+    Failed,
+};
+
+/** One runWorkload call; on failure @p error says why. */
+Outcome
+execute(Run &run, Spans &spans, pimstm::runtime::RunResult &r,
+        std::string &error)
+{
+    pimstm::runtime::RunSpec spec;
+    spec.mram_bytes = kSweepMramBytes;
+    spec.kind = run.kind;
+    spec.tier = run.tier;
+    spec.tasklets = run.tasklets;
+    spec.seed = run.seed;
+    try {
+        SpanScope span(spans, kSpanRunWorkload);
+        r = pimstm::runtime::runWorkload(*run.wl, spec);
+    } catch (const std::exception &e) {
+        if (dynamic_cast<const pimstm::FatalError *>(&e)
+            && !run.wl->setupRan() && run.tier == MetadataTier::Wram)
+            return Outcome::NotRunnable;
+        error = std::string(run.wl->name()) + ": " + e.what();
+        return Outcome::Failed;
+    }
+    return Outcome::Ran;
+}
+
+/** A run's simulated outcome, for the repeat check. */
+u64
+fingerprint(const pimstm::runtime::RunResult &r)
+{
+    return pimstm::deriveSeed(r.dpu.total_cycles, r.stm.commits,
+                              r.stm.aborts ^ (r.dpu.sched_switches << 20));
+}
+
 } // namespace
 
 PassResult
-runPaperSweepPass(u64 seed, Spans &spans, size_t stride)
+runPaperSweepPass(u64 seed, Spans &spans)
 {
     PassResult p;
-    // Set-up: every run's problem instance, and a warm DPU pool. It
-    // takes well under a millisecond, so it is repeated and the median
-    // reported; the last repetition's instances are the ones run.
-    struct Run
-    {
-        MetadataTier tier;
-        size_t workload;
-        StmKind kind;
-        unsigned tasklets;
-        u64 seed;
-        std::unique_ptr<TimedWorkload> wl;
-    };
-    pimstm::runtime::RunSpec base;
-    base.mram_bytes = 8 * 1024 * 1024; // as fig6_summary
+    // Set-up: every run's problem instance, then the DPU pool emptied
+    // and warmed up again by one run of each workload and metadata tier
+    // (the first STM at kLowLoad tasklets), which materializes a DPU's
+    // memory as the sweep's own runs do. It is repeated and the median
+    // reported; the last repetition's instances are the ones run. The
+    // warm-up runs are untimed repeats of sweep runs: each must match
+    // its repeat in the timed phase exactly.
+    const size_t per_workload =
+        pimstm::core::allStmKinds().size() * std::size(kTasklets) * kReplicas;
+    static_assert(kTasklets[1] == kLowLoad);
+    const size_t warm_offset = 1 * kReplicas;
+    const auto factories = sweepWorkloads();
     auto &pool = pimstm::runtime::DpuPool::global();
+    Spans untraced(false);
     std::vector<Run> runs;
+    std::vector<std::pair<size_t, u64>> warm_prints;
     std::vector<double> setups;
     for (unsigned rep = 0; rep < kSetupRepeats; ++rep) {
         const auto t0 = Clock::now();
-        runs.clear();
-        const auto factories = sweepWorkloads();
-        for (MetadataTier tier : {MetadataTier::Mram, MetadataTier::Wram})
-            for (size_t w = 0; w < factories.size(); ++w)
-                for (StmKind kind : pimstm::core::allStmKinds())
-                    for (unsigned t : kTasklets)
-                        for (unsigned r = 0; r < kReplicas; ++r)
-                            runs.push_back(
-                                {tier, w, kind, t, seed + r * 7919,
-                                 std::make_unique<TimedWorkload>(
-                                     factories[w](), spans)});
+        runs = sweepRuns(seed, spans);
         pool.clear();
-        pimstm::sim::DpuConfig cfg;
-        cfg.mram_bytes = base.mram_bytes;
-        pool.release(pool.acquire(cfg, base.timing));
+        for (size_t i = warm_offset; i < runs.size(); i += per_workload) {
+            Run warm{runs[i].tier, runs[i].workload, runs[i].kind,
+                     runs[i].tasklets, runs[i].seed,
+                     std::make_unique<TimedWorkload>(
+                         factories[runs[i].workload](), untraced)};
+            pimstm::runtime::RunResult r;
+            std::string error;
+            const Outcome o = execute(warm, untraced, r, error);
+            p.attempted += o == Outcome::NotRunnable ? 0 : 1;
+            if (o == Outcome::Failed) {
+                ++p.failed;
+                p.errors.push_back("set-up: " + error);
+            } else if (o == Outcome::Ran) {
+                warm_prints.emplace_back(i, fingerprint(r));
+            }
+        }
         setups.push_back(secondsSince(t0));
     }
     p.setup_s = median(setups);
@@ -200,35 +275,26 @@ runPaperSweepPass(u64 seed, Spans &spans, size_t stride)
 
     const auto pool0 = pool.stats();
     const auto ix0 = pimstm::core::txIndexTotals();
+    std::vector<u64> prints(runs.size(), 0);
     // Per point (its kReplicas runs): summed throughput and commits.
     std::vector<double> tput_sum(runs.size() / kReplicas, 0.0);
     std::vector<u64> commits(runs.size() / kReplicas, 0);
     std::vector<unsigned> ok_runs(runs.size() / kReplicas, 0);
-    for (size_t i = 0; i < runs.size(); i += stride) {
+    for (size_t i = 0; i < runs.size(); ++i) {
         Run &run = runs[i];
-        pimstm::runtime::RunSpec spec = base;
-        spec.kind = run.kind;
-        spec.tier = run.tier;
-        spec.tasklets = run.tasklets;
-        spec.seed = run.seed;
         pimstm::runtime::RunResult r;
-        try {
-            SpanScope span(spans, kSpanRunWorkload);
-            r = pimstm::runtime::runWorkload(*run.wl, spec);
-        } catch (const std::exception &e) {
-            const bool designed = dynamic_cast<const pimstm::FatalError *>(&e)
-                && !run.wl->setupRan() && run.tier == MetadataTier::Wram;
-            if (designed) {
-                ++p.not_runnable;
-            } else {
-                ++p.attempted;
-                ++p.failed;
-                p.errors.push_back(std::string(run.wl->name()) + ": "
-                                   + e.what());
-            }
+        std::string error;
+        const Outcome o = execute(run, spans, r, error);
+        if (o == Outcome::NotRunnable) {
+            ++p.not_runnable;
             continue;
         }
         ++p.attempted;
+        if (o == Outcome::Failed) {
+            ++p.failed;
+            p.errors.push_back(error);
+            continue;
+        }
         ++p.points;
         p.app_ops += run.wl->appOps();
         Counters &c = p.counters;
@@ -241,9 +307,7 @@ runPaperSweepPass(u64 seed, Spans &spans, size_t stride)
         for (size_t ph = 0; ph < c.phase_cycles.size(); ++ph)
             c.phase_cycles[ph] += r.dpu.phase_cycles[ph];
         c.addStm(r.stm);
-        p.run_prints.emplace_back(
-            i, pimstm::deriveSeed(r.dpu.total_cycles, r.stm.commits,
-                                  r.stm.aborts ^ (r.dpu.sched_switches << 20)));
+        prints[i] = fingerprint(r);
         if (r.throughput <= 0) {
             ++p.failed;
             p.errors.push_back(std::string(run.wl->name())
@@ -260,6 +324,12 @@ runPaperSweepPass(u64 seed, Spans &spans, size_t stride)
     p.counters.txindex_lookups = ix1.lookups - ix0.lookups;
     p.counters.txindex_probes = ix1.probes - ix0.probes;
     p.pool_misses = pool.stats().misses - pool0.misses;
+    for (const auto &[i, print] : warm_prints)
+        if (prints[i] != print) {
+            ++p.failed;
+            p.errors.push_back("simulated metric differs when sweep run "
+                               + std::to_string(i) + " is repeated");
+        }
 
     // Fig. 6's reduction: each point's throughput is its replicas' mean.
     std::vector<double> tput;

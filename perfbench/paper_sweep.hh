@@ -19,11 +19,10 @@ namespace perfbench
 inline constexpr double kSweepLatencyLimitS = 2e-3;
 
 /**
- * One pass over the sweep. With @p stride > 1 only every stride-th run
- * executes (a sampled repeat for the determinism check); its metrics
- * then cover the sample only.
+ * One pass over the sweep: its set-up (run list and DPU-pool warm-up,
+ * repeated; setup_s is the median) and its timed phase, every run once.
  */
-PassResult runPaperSweepPass(u64 seed, Spans &spans, size_t stride = 1);
+PassResult runPaperSweepPass(u64 seed, Spans &spans);
 
 } // namespace perfbench
 

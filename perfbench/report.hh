@@ -116,10 +116,6 @@ struct PassResult
     /** @} */
     u64 capacity_probes = 0;
 
-    /** paper_sweep: (run index, simulated fingerprint) of every run,
-     * for the sampled repeat check. */
-    std::vector<std::pair<size_t, u64>> run_prints;
-
     u64 attempted = 0;
     u64 failed = 0;
     std::vector<std::string> errors;

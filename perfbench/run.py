@@ -25,7 +25,16 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
 WORKLOADS = ["paper_sweep", "kv_serve", "kv_durable_2pc"]
-RUN_TIMEOUT_S = 175
+
+
+def run_timeout(seconds):
+    """Seconds after which a workload process is killed.
+
+    The measured KV passes take about --seconds, and the last one may
+    overrun it by one pass. The KV warm-up pass and capacity search, the
+    sweep's one full pass and the traced passes take about a minute more
+    on a 4-vCPU VM. At --seconds 25 this is 170 s."""
+    return 120 + 2 * seconds
 
 
 def log(*parts):
@@ -74,12 +83,13 @@ def run_workload(workload, seed, seconds, trace):
         cmd += ["--spans-out",
                 os.path.join(spans_dir, f"{workload}-seed{seed}.json")]
     proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    timeout = run_timeout(seconds)
     try:
-        out, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
+        out, _ = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait()
-        log(f"perfbench: {workload} exceeded {RUN_TIMEOUT_S} s")
+        log(f"perfbench: {workload} exceeded {timeout} s")
         return 1, None
     lines = out.rstrip("\n").split("\n")
     result = None

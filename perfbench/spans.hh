@@ -70,8 +70,6 @@ class Spans
     /** Record the stream indices a span executed. */
     void attachRequests(int id, std::vector<pimstm::u32> requests);
 
-    const std::vector<Span> &spans() const { return spans_; }
-
     std::map<std::string, SpanTotals> totals() const;
 
     /** Write every span as JSON; returns false on an I/O error. */
