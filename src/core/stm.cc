@@ -398,6 +398,7 @@ Stm::reserveMetadata()
         slot_state_.assign(cfg_.num_tasklets, 0);
         slot_seq_.assign(cfg_.num_tasklets, 0);
         slot_flip_.assign(cfg_.num_tasklets, 0);
+        log_scratch_.assign(cfg_.num_tasklets, {});
         dpu_.mram().setPersistTracking(true);
         durable_log_ = true;
     }
@@ -898,8 +899,9 @@ Stm::durableCommitPoint(DpuContext &ctx, TxDescriptor &tx)
     const unsigned t = tx.tasklet();
     const u32 seq = static_cast<u32>(++durable_seq_);
     const u32 n = static_cast<u32>(tx.write_set.size());
-    log_scratch_.resize(static_cast<size_t>(n) * 16);
-    u8 *p = log_scratch_.data();
+    std::vector<u8> &image = log_scratch_[t];
+    image.resize(static_cast<size_t>(n) * 16);
+    u8 *p = image.data();
     for (const WriteEntry &e : tx.write_set) {
         fatalIf(sim::addrTier(e.addr) != Tier::Mram,
                 "durable transactions require MRAM-resident data: WRAM "
@@ -912,13 +914,13 @@ Stm::durableCommitPoint(DpuContext &ctx, TxDescriptor &tx)
     }
     ctx.writeBlock(sim::makeAddr(Tier::Mram, logSlotBase(t) +
                                                  kLogHeaderBytes),
-                   log_scratch_.data(), log_scratch_.size());
+                   image.data(), image.size());
     writeLogHeader(ctx, t, seq, n, kSlotCommitted);
     ++stats_.log_appends;
-    stats_.log_bytes += log_scratch_.size() + 16;
+    stats_.log_bytes += image.size() + 16;
     if (cfg_.trace) {
         cfg_.trace->record(ctx.now(), ctx.taskletId(), TxEvent::LogAppend,
-                           static_cast<u32>(log_scratch_.size() + 16), n);
+                           static_cast<u32>(image.size() + 16), n);
     }
     // The durability point: redo image + commit record reach the
     // persist boundary before the first in-place write exists.

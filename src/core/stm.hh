@@ -776,8 +776,13 @@ class Stm
     std::vector<u32> slot_seq_;
     /** Which header copy the next header write lands in (ping-pong). */
     std::vector<u8> slot_flip_;
-    /** Reused redo-image encoding scratch (host). */
-    std::vector<u8> log_scratch_;
+    /**
+     * Per-tasklet redo-image encoding scratch (host). One buffer per
+     * tasklet: writeBlock charges (and may switch fibers) before it
+     * copies, so a shared buffer could be resized or overwritten by
+     * another tasklet's commit while this one's write is in flight.
+     */
+    std::vector<std::vector<u8>> log_scratch_;
 
     u32
     logSlotBase(unsigned tasklet) const

@@ -279,6 +279,76 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, Durable,
                          testing::ValuesIn(allStmKindsExtended()),
                          kindName);
 
+TEST(DurableRedoLog, ConcurrentCommitsKeepTheirOwnRedoImages)
+{
+    // Two write-back transactions with different write-set sizes reach
+    // their durability points close together: the large one's redo
+    // image is still in flight (writeBlock charges the MRAM write, and
+    // may switch fibers, before it copies) when the small one encodes
+    // its own. A third tasklet cuts the power as soon as both commits
+    // are durable. Recovery must find both records sealed under their
+    // own sequence numbers and redo them; a redo-image buffer shared
+    // between tasklets let the small image overwrite (or, when larger,
+    // free) the large one mid-copy. The small transaction's start delay
+    // is swept across the window where the two commits overlap.
+    constexpr u32 kBig = 6, kSmall = 2;
+    constexpr u64 kLogBytes = (kBig + 1 + kSmall + 1) * 16;
+    unsigned both_sealed = 0;
+    for (Cycles delay = 1300; delay < 1700; delay += 20) {
+        SCOPED_TRACE("small-tx start delay " + std::to_string(delay));
+        DpuConfig dpu_cfg;
+        dpu_cfg.mram_bytes = 1 << 20;
+        Dpu dpu(dpu_cfg, TimingConfig{});
+        StmConfig cfg;
+        cfg.kind = StmKind::VrCtlWb;
+        cfg.num_tasklets = 3;
+        cfg.max_read_set = 8;
+        cfg.max_write_set = 8;
+        cfg.data_words_hint = 64;
+        cfg.durable = true;
+        auto stm = makeStm(dpu, cfg);
+        SharedArray32 words(dpu, Tier::Mram, 64);
+        words.fill(dpu, 0);
+        dpu.mram().fence();
+
+        dpu.addTasklet([&](DpuContext &ctx) {
+            atomically(*stm, ctx, [&](TxHandle &tx) {
+                for (u32 i = 0; i < kBig; ++i)
+                    tx.write(words.at(i), 100 + i);
+            });
+        });
+        dpu.addTasklet([&](DpuContext &ctx) {
+            ctx.delay(delay);
+            atomically(*stm, ctx, [&](TxHandle &tx) {
+                for (u32 i = 0; i < kSmall; ++i)
+                    tx.write(words.at(32 + i), 200 + i);
+            });
+        });
+        dpu.addTasklet([&](DpuContext &ctx) {
+            while (stm->stats().durable_commits < 2)
+                ctx.delay(1);
+            ctx.dpu().beginCrash();
+            throw DpuCrashException{ctx.taskletId()};
+        });
+        ASSERT_THROW(dpu.run(), DpuCrashError);
+        EXPECT_EQ(stm->stats().log_bytes, kLogBytes);
+
+        dpu.resetRun(/*reset_faults=*/false);
+        const RecoveryReport r = stm->recoverAfterCrash();
+        EXPECT_EQ(r.torn, 0u);
+        EXPECT_EQ(r.discarded, 0u);
+        EXPECT_GE(r.redone, 1u);
+        both_sealed += r.redone == 2;
+        for (u32 i = 0; i < kBig; ++i)
+            EXPECT_EQ(words.peek(dpu, i), 100 + i);
+        for (u32 i = 0; i < kSmall; ++i)
+            EXPECT_EQ(words.peek(dpu, 32 + i), 200 + i);
+    }
+    // The sweep must reach the overlap it exists for: crashes that
+    // find both records committed and not yet truncated.
+    EXPECT_GT(both_sealed, 0u);
+}
+
 TEST(DurableConfig, ExclusionsAreRefused)
 {
     DpuConfig dpu_cfg;
