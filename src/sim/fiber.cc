@@ -5,16 +5,6 @@
 
 #include "util/logging.hh"
 
-// A whole-DPU crash abandons suspended fibers without unwinding them
-// (sim/dpu.cc), so a reused stack buffer can carry stale ASan shadow
-// poison from frames that never returned. Clear it on re-init.
-#if defined(__SANITIZE_ADDRESS__)
-#define PIMSTM_FIBER_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define PIMSTM_FIBER_ASAN 1
-#endif
-#endif
 #ifdef PIMSTM_FIBER_ASAN
 #include <sanitizer/asan_interface.h>
 #endif
@@ -34,6 +24,38 @@ namespace
 thread_local Fiber *starting_fiber = nullptr;
 
 } // namespace
+
+void
+Fiber::init(size_t stack_bytes, Body body)
+{
+    panicIf(inside_, "Fiber::init called from inside the fiber");
+    panicIf(started_ && !finished_, "Fiber::init on a live fiber");
+
+    if (!stack_ || stack_bytes_ < stack_bytes) {
+        stack_ = std::make_unique_for_overwrite<char[]>(stack_bytes);
+        stack_bytes_ = stack_bytes;
+    }
+#ifdef PIMSTM_FIBER_ASAN
+    // A finished fiber never returns from its first frames (run()
+    // switches out for good), so a reused stack can carry stale ASan
+    // shadow poison from them. Clear it.
+    __asan_unpoison_memory_region(stack_.get(), stack_bytes_);
+#endif
+    body_ = std::move(body);
+    pending_exception_ = nullptr;
+    finished_ = false;
+    started_ = false;
+    armStack();
+}
+
+void
+Fiber::dropBody()
+{
+    panicIf(inside_ || runnable(), "Fiber::dropBody on a live fiber");
+    body_ = nullptr;
+    pending_exception_ = nullptr;
+    finished_ = true;
+}
 
 #ifdef PIMSTM_FIBER_FAST
 
@@ -86,20 +108,8 @@ fiberEntry()
 }
 
 void
-Fiber::init(size_t stack_bytes, Body body)
+Fiber::armStack()
 {
-    panicIf(inside_, "Fiber::init called from inside the fiber");
-    panicIf(started_ && !finished_, "Fiber::init on a live fiber");
-
-    if (!stack_ || stack_bytes_ < stack_bytes) {
-        stack_ = std::make_unique<char[]>(stack_bytes);
-        stack_bytes_ = stack_bytes;
-    }
-    body_ = std::move(body);
-    pending_exception_ = nullptr;
-    finished_ = false;
-    started_ = false;
-
     // Prepare the stack so the first switch "returns" into fiberEntry:
     // [top-16] holds its address at a 16-byte boundary (so rsp % 16 ==
     // 8 at entry, as after a call), preceded by six zeroed callee-saved
@@ -165,23 +175,8 @@ Fiber::yieldOut()
 // ---------------------------------------------------------------------
 
 void
-Fiber::init(size_t stack_bytes, Body body)
+Fiber::armStack()
 {
-    panicIf(inside_, "Fiber::init called from inside the fiber");
-    panicIf(started_ && !finished_, "Fiber::init on a live fiber");
-
-    if (!stack_ || stack_bytes_ < stack_bytes) {
-        stack_ = std::make_unique<char[]>(stack_bytes);
-        stack_bytes_ = stack_bytes;
-    }
-#ifdef PIMSTM_FIBER_ASAN
-    __asan_unpoison_memory_region(stack_.get(), stack_bytes_);
-#endif
-    body_ = std::move(body);
-    pending_exception_ = nullptr;
-    finished_ = false;
-    started_ = false;
-
     panicIf(getcontext(&ctx_) != 0, "getcontext failed");
     ctx_.uc_stack.ss_sp = stack_.get();
     ctx_.uc_stack.ss_size = stack_bytes_;
@@ -194,6 +189,10 @@ Fiber::trampoline()
 {
     Fiber *self = starting_fiber;
     starting_fiber = nullptr;
+#ifdef PIMSTM_FIBER_ASAN
+    __sanitizer_finish_switch_fiber(nullptr, &self->owner_stack_bottom_,
+                                    &self->owner_stack_size_);
+#endif
     self->run();
     // Falling off the trampoline returns to owner_ctx_ via uc_link, but
     // run() already marks the fiber finished and we prefer the explicit
@@ -209,6 +208,12 @@ Fiber::run()
         pending_exception_ = std::current_exception();
     }
     finished_ = true;
+#ifdef PIMSTM_FIBER_ASAN
+    // Never resumed: the null fake-stack slot lets ASan free this
+    // fiber's fake stack.
+    __sanitizer_start_switch_fiber(nullptr, owner_stack_bottom_,
+                                   owner_stack_size_);
+#endif
     // Return to the most recent enter().
     swapcontext(&ctx_, &owner_ctx_);
 }
@@ -224,7 +229,15 @@ Fiber::enter()
         started_ = true;
         starting_fiber = this;
     }
+#ifdef PIMSTM_FIBER_ASAN
+    void *owner_fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&owner_fake_stack, stack_.get(),
+                                   stack_bytes_);
+#endif
     panicIf(swapcontext(&owner_ctx_, &ctx_) != 0, "swapcontext failed");
+#ifdef PIMSTM_FIBER_ASAN
+    __sanitizer_finish_switch_fiber(owner_fake_stack, nullptr, nullptr);
+#endif
     inside_ = false;
 
     if (pending_exception_) {
@@ -239,7 +252,16 @@ void
 Fiber::yieldOut()
 {
     panicIf(!inside_, "Fiber::yieldOut outside the fiber");
+#ifdef PIMSTM_FIBER_ASAN
+    __sanitizer_start_switch_fiber(&fake_stack_, owner_stack_bottom_,
+                                   owner_stack_size_);
+#endif
     panicIf(swapcontext(&ctx_, &owner_ctx_) != 0, "swapcontext failed");
+#ifdef PIMSTM_FIBER_ASAN
+    // The owner may have been re-entered from another host stack.
+    __sanitizer_finish_switch_fiber(fake_stack_, &owner_stack_bottom_,
+                                    &owner_stack_size_);
+#endif
 }
 
 #endif // PIMSTM_FIBER_FAST

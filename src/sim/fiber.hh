@@ -37,6 +37,17 @@
 #endif
 #endif
 
+// AddressSanitizer must be told about every stack switch
+// (__sanitizer_start/finish_switch_fiber), or an exception thrown on a
+// fiber makes __asan_handle_no_return unpoison the wrong stack.
+#if defined(__SANITIZE_ADDRESS__)
+#define PIMSTM_FIBER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PIMSTM_FIBER_ASAN 1
+#endif
+#endif
+
 #if !defined(PIMSTM_FIBER_UCONTEXT) && !defined(PIMSTM_FIBER_SANITIZED) && \
     defined(__x86_64__) && (defined(__linux__) || defined(__APPLE__))
 #define PIMSTM_FIBER_FAST 1
@@ -73,9 +84,18 @@ class Fiber
 
     /**
      * Prepare the fiber with a stack and a body. May be called again
-     * after the previous body finished, to reuse the stack.
+     * once the previous body finished (or never started), to reuse the
+     * stack. A missing or too-small stack is allocated without
+     * zero-filling: nothing reads a stack word before writing it, so a
+     * reused stack's stale contents are as good as fresh memory.
      */
     void init(size_t stack_bytes, Body body);
+
+    /**
+     * Destroy the body (and everything it captured) of a fiber that is
+     * not suspended mid-body, keeping the stack for the next init().
+     */
+    void dropBody();
 
     /**
      * Switch from the owner into the fiber; returns when the fiber
@@ -112,6 +132,8 @@ class Fiber
 #else
     static void trampoline();
 #endif
+    /** Lay out the first switch into the entry routine (per primitive). */
+    void armStack();
     void run();
 
     std::unique_ptr<char[]> stack_;
@@ -124,6 +146,14 @@ class Fiber
 #else
     ucontext_t ctx_{};
     ucontext_t owner_ctx_{};
+#endif
+#ifdef PIMSTM_FIBER_ASAN
+    /** The owner's stack, as reported on the last switch into the
+     * fiber; the switch back out announces it to ASan. */
+    const void *owner_stack_bottom_ = nullptr;
+    size_t owner_stack_size_ = 0;
+    /** ASan fake stack of the suspended fiber (use-after-return). */
+    void *fake_stack_ = nullptr;
 #endif
     bool started_ = false;
     bool finished_ = true;
