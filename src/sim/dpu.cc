@@ -348,8 +348,9 @@ Dpu::addTasklet(TaskletBody body)
     fatalIf(tasklets_.size() >= cfg_.max_tasklets,
             "DPU supports at most ", cfg_.max_tasklets, " tasklets");
     const unsigned tid = static_cast<unsigned>(tasklets_.size());
+    if (tid == fibers_.size())
+        fibers_.push_back(std::make_unique<Fiber>());
     Tasklet t;
-    t.fiber = std::make_unique<Fiber>();
     t.ctx = std::make_unique<DpuContext>(*this, tid,
                                          deriveSeed(cfg_.seed, tid));
     t.state = TaskletState::Ready;
@@ -359,7 +360,7 @@ Dpu::addTasklet(TaskletBody body)
     // its tasklet here, before the exception crosses the fiber switch —
     // injected crashes terminate the tasklet cleanly, everything else
     // is recorded as a DPU fault and rethrown on the host stack.
-    t.fiber->init(
+    fibers_[tid]->init(
         cfg_.fiber_stack_bytes,
         [body = std::move(body), ctx_ptr, this, tid]() {
             try {
@@ -400,6 +401,12 @@ void
 Dpu::resetRun(bool reset_faults)
 {
     fatalIf(in_run_, "resetRun during run");
+    for (size_t i = 0; i < tasklets_.size(); ++i) {
+        if (fibers_[i]->runnable())
+            fibers_[i] = std::make_unique<Fiber>(); // abandoned mid-body
+        else
+            fibers_[i]->dropBody();
+    }
     tasklets_.clear();
     stats_ = DpuStats{};
     now_ = 0;
@@ -597,7 +604,7 @@ void
 Dpu::suspend(unsigned tid)
 {
     panicIf(running_tid_ != tid, "suspend from a non-running tasklet");
-    tasklets_[tid].fiber->yieldOut();
+    fibers_[tid]->yieldOut();
 }
 
 void
@@ -808,7 +815,7 @@ Dpu::scheduleLoop()
         if (trace_sink_)
             trace_sink_->schedEvent(now_, e.tid, SchedEvent::Switch,
                                     e.ready_at, 0);
-        const bool alive = t.fiber->enter();
+        const bool alive = fibers_[e.tid]->enter();
         if (!alive) {
             t.state = TaskletState::Finished;
             --runnable_count_;

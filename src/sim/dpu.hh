@@ -272,7 +272,11 @@ class Dpu
     Dpu(const Dpu &) = delete;
     Dpu &operator=(const Dpu &) = delete;
 
-    /** Register one tasklet; call before run(). Returns its id. */
+    /**
+     * Register one tasklet; call before run(). Returns its id. The
+     * tasklet runs on its slot's fiber, which a previous launch left
+     * behind (re-armed, stack reused) or which is created on first use.
+     */
     unsigned addTasklet(TaskletBody body);
 
     /** Convenience: register @p n tasklets sharing one body. */
@@ -287,7 +291,10 @@ class Dpu
 
     /**
      * Clear tasklets and run-statistics; memory contents persist.
-     * By default the fault injector restarts its per-tasklet operation
+     * Every tasklet body (and all it captured) is destroyed, but each
+     * slot's fiber and stack stay for the next launch's addTasklet;
+     * a fiber left mid-body by a whole-DPU crash is destroyed with its
+     * never-unwound frames. By default the fault injector restarts its per-tasklet operation
      * counts too (each run sees the plan from scratch). Multi-launch
      * hosts — e.g. the distributed KV's 2PC rounds — pass
      * @p reset_faults = false so op counts accumulate across launches
@@ -346,8 +353,8 @@ class Dpu
      * arms the pending-crash flag; the caller then throws
      * DpuCrashException from its fiber, the trampoline swallows it and
      * the scheduler stops at once, abandoning every other tasklet
-     * mid-stack (their fiber stacks are freed, not unwound — exactly a
-     * power loss). Dpu::run then wipes WRAM, resolves unfenced MRAM
+     * mid-stack (their fibers are destroyed by the next resetRun, never
+     * unwound — exactly a power loss). Dpu::run then wipes WRAM, resolves unfenced MRAM
      * lines (crashScramble, seeded by plan seed and crash ordinal),
      * clears the atomic register and throws DpuCrashError, leaving the
      * DPU restartable via resetRun(reset_faults=false).
@@ -434,7 +441,6 @@ class Dpu
 
     struct Tasklet
     {
-        std::unique_ptr<Fiber> fiber;
         std::unique_ptr<DpuContext> ctx;
         TaskletState state = TaskletState::Ready;
         Cycles ready_at = 0;
@@ -517,6 +523,10 @@ class Dpu
     Memory mram_;
     AtomicRegister atomic_reg_;
     std::vector<Tasklet> tasklets_;
+    /** Fiber of each tasklet slot (indexed by id). Outlives resetRun()
+     * and recycle() so a relaunch re-arms it instead of allocating and
+     * freeing a stack per tasklet per launch. */
+    std::vector<std::unique_ptr<Fiber>> fibers_;
     DpuStats stats_;
 
     Cycles now_ = 0;
