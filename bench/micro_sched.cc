@@ -6,7 +6,10 @@
  * round-robin compute, mixed WRAM work, MRAM streaming, atomic
  * ping-pong and barrier storms — and cross-checks that fiber-switch
  * elision leaves every simulated statistic bitwise identical to the
- * always-switch schedule.
+ * always-switch schedule. A relaunch scenario shaped like KV serving
+ * (one DPU, thousands of short 4-tasklet launches) prices the host
+ * cost of a launch itself — addTasklets, run, resetRun — and checks
+ * that every relaunch simulates exactly like a fresh DPU.
  *
  * With --perf-json=FILE the per-scenario numbers are written as the
  * BENCH_sim.json artifact CI tracks per commit. The simulated-cycle
@@ -65,7 +68,51 @@ expectSameSimulation(const char *name, const DpuStats &a,
                 a.atomic_stall_cycles != b.atomic_stall_cycles ||
                 a.phase_cycles != b.phase_cycles,
             "scenario '", name,
-            "': elided and always-switch schedules diverged");
+            "': simulated statistics diverged");
+}
+
+struct RelaunchRun
+{
+    DpuStats fresh;
+    double us_per_launch = 0;
+};
+
+/**
+ * Relaunch one DPU @p launches times with @p tasklets copies of
+ * @p body, timing whole launches (registration, run and reset, which
+ * runScenario's clock leaves out). Every launch must reproduce a fresh
+ * DPU's statistics, host scheduler counters included.
+ */
+RelaunchRun
+runRelaunch(unsigned tasklets, u64 launches, const TaskletBody &body)
+{
+    DpuConfig cfg;
+    cfg.mram_bytes = 1 << 20;
+    RelaunchRun r;
+    {
+        Dpu fresh(cfg, TimingConfig{});
+        fresh.addTasklets(tasklets, body);
+        fresh.run();
+        r.fresh = fresh.stats();
+    }
+    Dpu dpu(cfg, TimingConfig{});
+    const auto t0 = std::chrono::steady_clock::now();
+    for (u64 i = 0; i < launches; ++i) {
+        dpu.addTasklets(tasklets, body);
+        dpu.run();
+        const DpuStats &s = dpu.stats();
+        expectSameSimulation("relaunch", s, r.fresh);
+        fatalIf(s.sched_switches != r.fresh.sched_switches ||
+                    s.sched_elisions != r.fresh.sched_elisions,
+                "scenario 'relaunch': launch ", i,
+                " diverged from a fresh DPU");
+        dpu.resetRun();
+    }
+    r.us_per_launch = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count() /
+                      static_cast<double>(launches);
+    return r;
 }
 
 } // namespace
@@ -182,11 +229,38 @@ main(int argc, char **argv)
         bench::PerfReporter::instance().record(std::move(rec));
     }
 
+    // KV-serving shape: a shard launch runs a handful of tasklets for a
+    // few hundred simulated cycles, so per-launch host cost dominates.
+    const unsigned relaunch_tasklets = 4;
+    const u64 launches = 5000 * scale;
+    const auto shortRequest = [](DpuContext &ctx) {
+        for (int i = 0; i < 3; ++i) {
+            ctx.compute(1 + ctx.rng().below(4));
+            ctx.touchRead(Tier::Mram, 8);
+        }
+    };
+    const auto relaunch =
+        runRelaunch(relaunch_tasklets, launches, shortRequest);
+    Table relaunch_table({"scenario", "tasklets", "launches",
+                          "sim_cycles_per_launch", "host_us_per_launch"});
+    relaunch_table.newRow()
+        .cell("relaunch_t4")
+        .cell(relaunch_tasklets)
+        .cell(launches)
+        .cell(relaunch.fresh.total_cycles)
+        .cell(relaunch.us_per_launch, 2);
+
     std::cout << "== micro_sched: inner-loop scheduler performance ==\n";
-    if (opt.csv)
-        table.printCsv(std::cout);
-    else
-        table.printText(std::cout);
-    std::cout << "\nelided vs always-switch simulated stats: identical\n";
+    const auto print = [&opt](const Table &t) {
+        if (opt.csv)
+            t.printCsv(std::cout);
+        else
+            t.printText(std::cout);
+    };
+    print(table);
+    std::cout << "\n";
+    print(relaunch_table);
+    std::cout << "\nelided vs always-switch simulated stats: identical\n"
+              << "relaunched vs fresh DPU simulated stats: identical\n";
     return 0;
 }

@@ -123,7 +123,11 @@ struct DpuConfig
     /** Hardware thread (tasklet) count. */
     unsigned max_tasklets = 24;
 
-    /** Host stack size for each tasklet fiber. */
+    /**
+     * Host stack size for each tasklet fiber. A Dpu allocates one
+     * stack per tasklet slot, without zero-filling, and keeps it for
+     * later launches; a larger value on recycle() reallocates.
+     */
     size_t fiber_stack_bytes = 256 * 1024;
 
     /** Number of usable entries in the 256-bit atomic register. Lowering

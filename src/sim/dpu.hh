@@ -294,12 +294,12 @@ class Dpu
      * Every tasklet body (and all it captured) is destroyed, but each
      * slot's fiber and stack stay for the next launch's addTasklet;
      * a fiber left mid-body by a whole-DPU crash is destroyed with its
-     * never-unwound frames. By default the fault injector restarts its per-tasklet operation
-     * counts too (each run sees the plan from scratch). Multi-launch
-     * hosts — e.g. the distributed KV's 2PC rounds — pass
-     * @p reset_faults = false so op counts accumulate across launches
-     * and a `crash=TID@OPS` event stays one-shot for the DPU's whole
-     * lifetime instead of re-firing every round.
+     * never-unwound frames. By default the fault injector restarts its
+     * per-tasklet operation counts too (each run sees the plan from
+     * scratch). Multi-launch hosts — e.g. the distributed KV's 2PC
+     * rounds — pass @p reset_faults = false so op counts accumulate
+     * across launches and a `crash=TID@OPS` event stays one-shot for
+     * the DPU's whole lifetime instead of re-firing every round.
      */
     void resetRun(bool reset_faults = true);
 
@@ -354,10 +354,11 @@ class Dpu
      * DpuCrashException from its fiber, the trampoline swallows it and
      * the scheduler stops at once, abandoning every other tasklet
      * mid-stack (their fibers are destroyed by the next resetRun, never
-     * unwound — exactly a power loss). Dpu::run then wipes WRAM, resolves unfenced MRAM
-     * lines (crashScramble, seeded by plan seed and crash ordinal),
-     * clears the atomic register and throws DpuCrashError, leaving the
-     * DPU restartable via resetRun(reset_faults=false).
+     * unwound — exactly a power loss). Dpu::run then wipes WRAM,
+     * resolves unfenced MRAM lines (crashScramble, seeded by plan seed
+     * and crash ordinal), clears the atomic register and throws
+     * DpuCrashError, leaving the DPU restartable via
+     * resetRun(reset_faults=false).
      */
     void beginCrash() { crash_pending_ = true; }
     bool crashPending() const { return crash_pending_; }

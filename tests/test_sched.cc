@@ -3,21 +3,25 @@
  * Event-driven scheduler tests: fiber-switch elision must leave every
  * simulated statistic bitwise identical to the always-switch schedule
  * (checked across all seven STM variants on ArrayBench, LinkedList and
- * a barrier-heavy KMeans config), and the incremental runnable /
+ * a barrier-heavy KMeans config), the incremental runnable /
  * finished / blocked counters must track every suspend / wake /
- * barrier / finish transition exactly.
+ * barrier / finish transition exactly, and a relaunched DPU — whose
+ * tasklet slots keep their fibers and dirty stacks — must simulate
+ * exactly like a fresh one.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/stm_factory.hh"
 #include "runtime/driver.hh"
 #include "sim/dpu.hh"
+#include "sim/fault.hh"
 #include "workloads/arraybench.hh"
 #include "workloads/kmeans.hh"
 #include "workloads/linkedlist.hh"
@@ -410,4 +414,159 @@ TEST(SchedCounters, TouchRandomWramChargesPerEightBytes)
     // 10 accesses x 1 instr x ceil(24/8 = 3 words) x 11 cycles.
     EXPECT_EQ(cost_24b, 10u * 3u * 11u);
     EXPECT_EQ(dpu.stats().wram_accesses, 20u);
+}
+
+// ---------------------------------------------------------------------
+// Relaunch: tasklet slots keep their fibers across resetRun/recycle
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Every RNG draw of every tasklet of one launch, by tasklet id. */
+using Draws = std::vector<std::vector<u64>>;
+
+/**
+ * Recurse @p depth frames of ~1 KiB each (tens of KiB of fiber stack
+ * in all), charging simulated time chosen by an RNG draw at every
+ * level, so a suspended tasklet's live frames sit deep in a stack that
+ * earlier launches already dirtied. With @p faults set, every level
+ * also passes the injector's STM-op hook, as the STM does.
+ */
+u64
+deepCharge(sim::DpuContext &ctx, unsigned depth, std::vector<u64> &draws,
+           bool faults)
+{
+    volatile u8 frame[1024];
+    const u64 r = ctx.rng().next();
+    draws.push_back(r);
+    for (size_t i = 0; i < sizeof frame; i += 64)
+        frame[i] = static_cast<u8>(r >> (i % 56));
+    if (sim::FaultInjector *fi = ctx.dpu().faultInjector();
+        faults && fi != nullptr &&
+        fi->onStmOp(ctx.taskletId(), false) == sim::StmFault::DpuCrash) {
+        ctx.dpu().beginCrash();
+        throw sim::DpuCrashException{ctx.taskletId()};
+    }
+    switch (r % 4) {
+      case 0:
+        ctx.compute(1 + r % 7);
+        break;
+      case 1:
+        ctx.write32(sim::makeAddr(sim::Tier::Wram,
+                                  static_cast<u32>(4 * (r % 256))),
+                    static_cast<u32>(r));
+        break;
+      case 2:
+        ctx.touchRead(sim::Tier::Mram, 8 + r % 64);
+        break;
+      default:
+        ctx.acquire(static_cast<u32>(r % 5));
+        ctx.compute(2);
+        ctx.release(static_cast<u32>(r % 5));
+        break;
+    }
+    u64 sum = depth == 0 ? 0 : deepCharge(ctx, depth - 1, draws, faults);
+    for (size_t i = 0; i < sizeof frame; i += 64)
+        sum += frame[i];
+    return sum;
+}
+
+constexpr unsigned kRelaunchDepth = 40;
+
+/** Register @p n deep-stack tasklets recording into @p draws. */
+void
+addDeepTasklets(sim::Dpu &dpu, unsigned n, Draws &draws,
+                bool faults = false)
+{
+    draws.assign(n, {});
+    dpu.addTasklets(n, [&draws, faults](sim::DpuContext &ctx) {
+        (void)deepCharge(ctx, kRelaunchDepth, draws[ctx.taskletId()],
+                         faults);
+    });
+}
+
+sim::DpuConfig
+relaunchConfig()
+{
+    sim::DpuConfig cfg;
+    cfg.mram_bytes = 1 << 20;
+    return cfg;
+}
+
+/** Launch @p n deep-stack tasklets on @p dpu and require the result
+ * of a fresh Dpu with its config, host scheduler counters included. */
+void
+expectRelaunchMatchesFresh(sim::Dpu &dpu, unsigned n)
+{
+    SCOPED_TRACE(std::to_string(n) + " tasklets");
+    Draws draws;
+    addDeepTasklets(dpu, n, draws);
+    dpu.run();
+
+    sim::Dpu fresh(dpu.config(), sim::TimingConfig{});
+    Draws fresh_draws;
+    addDeepTasklets(fresh, n, fresh_draws);
+    fresh.run();
+
+    expectSameSimulatedStats(dpu.stats(), fresh.stats());
+    EXPECT_EQ(dpu.stats().sched_switches, fresh.stats().sched_switches);
+    EXPECT_EQ(dpu.stats().sched_elisions, fresh.stats().sched_elisions);
+    EXPECT_EQ(draws, fresh_draws);
+    EXPECT_EQ(draws[0].size(), kRelaunchDepth + 1);
+}
+
+} // namespace
+
+TEST(DpuRelaunch, ResetRunAndRecycleMatchFreshDpus)
+{
+    sim::Dpu dpu(relaunchConfig(), sim::TimingConfig{});
+    for (unsigned n : {4u, 1u, 11u, 24u, 2u}) {
+        expectRelaunchMatchesFresh(dpu, n);
+        dpu.resetRun();
+    }
+    // A larger stack than the slots hold: init must reallocate.
+    sim::DpuConfig bigger = relaunchConfig();
+    bigger.fiber_stack_bytes = 2 * relaunchConfig().fiber_stack_bytes;
+    dpu.recycle(bigger, sim::TimingConfig{});
+    expectRelaunchMatchesFresh(dpu, 24);
+    dpu.recycle(relaunchConfig(), sim::TimingConfig{});
+    expectRelaunchMatchesFresh(dpu, 7);
+}
+
+TEST(DpuRelaunch, CrashAbandonedFibersAreReplaced)
+{
+    sim::DpuConfig cfg = relaunchConfig();
+    cfg.faults = sim::FaultPlan::parse("dpu-crash=60");
+    sim::Dpu dpu(cfg, sim::TimingConfig{});
+
+    // The crash stops the launch with the other tasklets suspended
+    // mid-recursion: their fibers are abandoned, never unwound.
+    Draws draws;
+    addDeepTasklets(dpu, 6, draws, /*faults=*/true);
+    EXPECT_THROW(dpu.run(), sim::DpuCrashError);
+    EXPECT_EQ(dpu.stats().dpu_crashes, 1u);
+    EXPECT_LT(dpu.finishedCount(), 6u);
+
+    // More tasklets than were abandoned: the abandoned slots get new
+    // fibers, the rest are created; the spent crash point stays spent.
+    dpu.resetRun(/*reset_faults=*/false);
+    addDeepTasklets(dpu, 9, draws, /*faults=*/true);
+    dpu.run();
+    EXPECT_EQ(dpu.finishedCount(), 9u);
+    EXPECT_EQ(dpu.stats().dpu_crashes, 0u);
+
+    dpu.resetRun();
+    expectRelaunchMatchesFresh(dpu, 11);
+}
+
+TEST(DpuRelaunch, ResetRunDestroysBodies)
+{
+    sim::Dpu dpu(relaunchConfig(), sim::TimingConfig{});
+    auto token = std::make_shared<int>(0);
+    dpu.addTasklets(3, [token](sim::DpuContext &ctx) { ctx.compute(1); });
+    dpu.run();
+    EXPECT_GT(token.use_count(), 1);
+    dpu.resetRun();
+    EXPECT_EQ(token.use_count(), 1);
 }
