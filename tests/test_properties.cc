@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/stm_factory.hh"
 #include "runtime/shared_array.hh"
 
@@ -20,12 +22,17 @@ using pimstm::runtime::SharedArray32;
 namespace
 {
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and the
+// discovered ctest names carry that print, so the struct has no padding:
+// uninitialised padding would put stack garbage into the test names.
 struct StressParam
 {
     StmKind kind;
+    u8 reserved[3];
     unsigned tasklets;
     u64 seed;
 };
+static_assert(std::has_unique_object_representations_v<StressParam>);
 
 std::string
 stressName(const testing::TestParamInfo<StressParam> &info)
@@ -46,7 +53,7 @@ stressParams()
     for (StmKind k : allStmKinds()) {
         for (unsigned t : {3u, 11u})
             for (u64 seed : {1ull, 42ull})
-                ps.push_back({k, t, seed});
+                ps.push_back({k, {}, t, seed});
     }
     return ps;
 }
