@@ -124,9 +124,10 @@ struct DpuConfig
     unsigned max_tasklets = 24;
 
     /**
-     * Host stack size for each tasklet fiber. A Dpu allocates one
-     * stack per tasklet slot, without zero-filling, and keeps it for
-     * later launches; a larger value on recycle() reallocates.
+     * Host stack size for each tasklet fiber. A fiber runs on a stack
+     * that an earlier fiber on the same host thread finished with, or
+     * on a new one, allocated without zero-filling, when no spare is
+     * this big (sim::Fiber::init).
      */
     size_t fiber_stack_bytes = 256 * 1024;
 

@@ -274,8 +274,10 @@ class Dpu
 
     /**
      * Register one tasklet; call before run(). Returns its id. The
-     * tasklet runs on its slot's fiber, which a previous launch left
-     * behind (re-armed, stack reused) or which is created on first use.
+     * tasklet runs on its slot's fiber, kept from a previous launch
+     * (re-armed) or created on first use, and on a stack that an
+     * earlier fiber on the host thread running the DPU finished with
+     * (see Fiber::init).
      */
     unsigned addTasklet(TaskletBody body);
 
@@ -292,8 +294,9 @@ class Dpu
     /**
      * Clear tasklets and run-statistics; memory contents persist.
      * Every tasklet body (and all it captured) is destroyed, but each
-     * slot's fiber and stack stay for the next launch's addTasklet;
-     * a fiber left mid-body by a whole-DPU crash is destroyed with its
+     * slot's fiber stays for the next launch's addTasklet (a finished
+     * fiber has already handed its stack back); a fiber left mid-body
+     * by a whole-DPU crash is destroyed with its stack and its
      * never-unwound frames. By default the fault injector restarts its
      * per-tasklet operation counts too (each run sees the plan from
      * scratch). Multi-launch hosts — e.g. the distributed KV's 2PC
@@ -525,8 +528,8 @@ class Dpu
     AtomicRegister atomic_reg_;
     std::vector<Tasklet> tasklets_;
     /** Fiber of each tasklet slot (indexed by id). Outlives resetRun()
-     * and recycle() so a relaunch re-arms it instead of allocating and
-     * freeing a stack per tasklet per launch. */
+     * and recycle() so a relaunch re-arms it; it holds a stack only
+     * while its body runs. */
     std::vector<std::unique_ptr<Fiber>> fibers_;
     DpuStats stats_;
 

@@ -23,6 +23,25 @@ namespace
 // enter() clobber the fiber another thread is about to start.
 thread_local Fiber *starting_fiber = nullptr;
 
+/** A stack no fiber is running on. */
+struct SpareStack
+{
+    std::unique_ptr<char[]> mem;
+    size_t bytes;
+};
+
+// Stacks of the fibers that finished on this host thread, most recent
+// last. A DPU's fibers all run on the thread that called Dpu::run(),
+// so every launch there, on any DPU, starts its tasklets on the stacks
+// the previous launch just used: no stack is allocated, freed or
+// faulted in per launch, and the few KiB a launch touches are still
+// in cache.
+thread_local std::vector<SpareStack> spare_stacks;
+
+/** Spares kept per host thread: a full DPU's tasklets (at most 24),
+ * with room to spare. Stacks beyond it are freed. */
+constexpr size_t kMaxSpareStacks = 32;
+
 } // namespace
 
 void
@@ -31,9 +50,24 @@ Fiber::init(size_t stack_bytes, Body body)
     panicIf(inside_, "Fiber::init called from inside the fiber");
     panicIf(started_ && !finished_, "Fiber::init on a live fiber");
 
-    if (!stack_ || stack_bytes_ < stack_bytes) {
-        stack_ = std::make_unique_for_overwrite<char[]>(stack_bytes);
-        stack_bytes_ = stack_bytes;
+    wanted_stack_bytes_ = stack_bytes;
+    body_ = std::move(body);
+    pending_exception_ = nullptr;
+    finished_ = false;
+    started_ = false;
+}
+
+void
+Fiber::acquireStack()
+{
+    if (!spare_stacks.empty() &&
+        spare_stacks.back().bytes >= wanted_stack_bytes_) {
+        stack_ = std::move(spare_stacks.back().mem);
+        stack_bytes_ = spare_stacks.back().bytes;
+        spare_stacks.pop_back();
+    } else {
+        stack_ = std::make_unique_for_overwrite<char[]>(wanted_stack_bytes_);
+        stack_bytes_ = wanted_stack_bytes_;
     }
 #ifdef PIMSTM_FIBER_ASAN
     // A finished fiber never returns from its first frames (run()
@@ -41,11 +75,15 @@ Fiber::init(size_t stack_bytes, Body body)
     // shadow poison from them. Clear it.
     __asan_unpoison_memory_region(stack_.get(), stack_bytes_);
 #endif
-    body_ = std::move(body);
-    pending_exception_ = nullptr;
-    finished_ = false;
-    started_ = false;
-    armStack();
+}
+
+void
+Fiber::releaseStack()
+{
+    if (spare_stacks.size() < kMaxSpareStacks)
+        spare_stacks.push_back({std::move(stack_), stack_bytes_});
+    stack_.reset();
+    stack_bytes_ = 0;
 }
 
 void
@@ -146,10 +184,14 @@ Fiber::enter()
     inside_ = true;
     if (!started_) {
         started_ = true;
+        acquireStack();
+        armStack();
         starting_fiber = this;
     }
     pimstm_fiber_switch(&owner_sp_, &sp_);
     inside_ = false;
+    if (finished_)
+        releaseStack();
 
     if (pending_exception_) {
         auto ex = pending_exception_;
@@ -227,6 +269,8 @@ Fiber::enter()
     inside_ = true;
     if (!started_) {
         started_ = true;
+        acquireStack();
+        armStack();
         starting_fiber = this;
     }
 #ifdef PIMSTM_FIBER_ASAN
@@ -239,6 +283,8 @@ Fiber::enter()
     __sanitizer_finish_switch_fiber(owner_fake_stack, nullptr, nullptr);
 #endif
     inside_ = false;
+    if (finished_)
+        releaseStack();
 
     if (pending_exception_) {
         auto ex = pending_exception_;

@@ -83,17 +83,20 @@ class Fiber
     Fiber &operator=(const Fiber &) = delete;
 
     /**
-     * Prepare the fiber with a stack and a body. May be called again
-     * once the previous body finished (or never started), to reuse the
-     * stack. A missing or too-small stack is allocated without
-     * zero-filling: nothing reads a stack word before writing it, so a
+     * Prepare the fiber with a body that will run on a stack of at
+     * least @p stack_bytes. May be called again once the previous body
+     * finished (or never started). The stack is taken when the fiber
+     * first runs, from the stacks that fibers finished on the same
+     * host thread handed back, and handed back when the body finishes;
+     * only when none is big enough is one allocated, without
+     * zero-filling. Nothing reads a stack word before writing it, so a
      * reused stack's stale contents are as good as fresh memory.
      */
     void init(size_t stack_bytes, Body body);
 
     /**
      * Destroy the body (and everything it captured) of a fiber that is
-     * not suspended mid-body, keeping the stack for the next init().
+     * not suspended mid-body; init() may then arm it again.
      */
     void dropBody();
 
@@ -134,10 +137,17 @@ class Fiber
 #endif
     /** Lay out the first switch into the entry routine (per primitive). */
     void armStack();
+    /** Take a spare stack of this host thread, or allocate one. */
+    void acquireStack();
+    /** Hand the finished body's stack back to this host thread. */
+    void releaseStack();
     void run();
 
+    /** Held only while the body runs (or is abandoned mid-body). */
     std::unique_ptr<char[]> stack_;
     size_t stack_bytes_ = 0;
+    /** Stack size the current body needs (init()'s argument). */
+    size_t wanted_stack_bytes_ = 0;
     Body body_;
 #ifdef PIMSTM_FIBER_FAST
     /** Saved stack pointer of the suspended fiber / owner. */

@@ -6,8 +6,8 @@
  * a barrier-heavy KMeans config), the incremental runnable /
  * finished / blocked counters must track every suspend / wake /
  * barrier / finish transition exactly, and a relaunched DPU — whose
- * tasklet slots keep their fibers and dirty stacks — must simulate
- * exactly like a fresh one.
+ * tasklet slots keep their fibers, and whose tasklets start on stacks
+ * earlier launches dirtied — must simulate exactly like a fresh one.
  */
 
 #include <gtest/gtest.h>
@@ -417,7 +417,8 @@ TEST(SchedCounters, TouchRandomWramChargesPerEightBytes)
 }
 
 // ---------------------------------------------------------------------
-// Relaunch: tasklet slots keep their fibers across resetRun/recycle
+// Relaunch: tasklet slots keep their fibers across resetRun/recycle,
+// and stacks pass from launch to launch on one host thread
 // ---------------------------------------------------------------------
 
 namespace
@@ -525,13 +526,29 @@ TEST(DpuRelaunch, ResetRunAndRecycleMatchFreshDpus)
         expectRelaunchMatchesFresh(dpu, n);
         dpu.resetRun();
     }
-    // A larger stack than the slots hold: init must reallocate.
+    // A larger stack than the spare stacks: a new one is allocated.
     sim::DpuConfig bigger = relaunchConfig();
     bigger.fiber_stack_bytes = 2 * relaunchConfig().fiber_stack_bytes;
     dpu.recycle(bigger, sim::TimingConfig{});
     expectRelaunchMatchesFresh(dpu, 24);
     dpu.recycle(relaunchConfig(), sim::TimingConfig{});
     expectRelaunchMatchesFresh(dpu, 7);
+}
+
+TEST(DpuRelaunch, StacksPassBetweenDpusOnOneThread)
+{
+    // Alternating launches: each DPU's tasklets start on the stacks the
+    // other DPU's tasklets just dirtied.
+    sim::Dpu a(relaunchConfig(), sim::TimingConfig{});
+    sim::DpuConfig other = relaunchConfig();
+    other.seed = 7;
+    sim::Dpu b(other, sim::TimingConfig{});
+    for (unsigned n : {4u, 11u, 3u}) {
+        expectRelaunchMatchesFresh(a, n);
+        expectRelaunchMatchesFresh(b, n + 1);
+        a.resetRun();
+        b.resetRun();
+    }
 }
 
 TEST(DpuRelaunch, CrashAbandonedFibersAreReplaced)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sim/dpu.hh"
 #include "sim/fiber.hh"
 
@@ -64,6 +66,48 @@ TEST(Fiber, Reusable)
         EXPECT_FALSE(f.enter());
     }
     EXPECT_EQ(runs, 3);
+}
+
+namespace
+{
+
+/** Address of a local in the body's first frame: which stack it ran on. */
+void
+armRecordingStackAddress(Fiber &f, uintptr_t &at, bool yield)
+{
+    f.init(64 * 1024, [&f, &at, yield] {
+        volatile char probe = 0;
+        at = reinterpret_cast<uintptr_t>(&probe);
+        if (yield)
+            f.yieldOut();
+    });
+}
+
+} // namespace
+
+TEST(Fiber, FinishedFibersHandTheirStackToTheNextOnTheirThread)
+{
+    Fiber a, b;
+    uintptr_t at_a = 0, at_b = 0;
+    armRecordingStackAddress(a, at_a, false);
+    EXPECT_FALSE(a.enter());
+    armRecordingStackAddress(b, at_b, false);
+    EXPECT_FALSE(b.enter());
+    EXPECT_EQ(at_a, at_b);
+}
+
+TEST(Fiber, LiveFibersRunOnSeparateStacks)
+{
+    Fiber a, b;
+    uintptr_t at_a = 0, at_b = 0;
+    armRecordingStackAddress(a, at_a, true);
+    armRecordingStackAddress(b, at_b, true);
+    EXPECT_TRUE(a.enter());
+    EXPECT_TRUE(b.enter()); // a is suspended: its stack is not spare
+    // The same frame on two disjoint stacks of at least 64 KiB each.
+    EXPECT_GE(at_a > at_b ? at_a - at_b : at_b - at_a, 32u * 1024);
+    EXPECT_FALSE(a.enter());
+    EXPECT_FALSE(b.enter());
 }
 
 TEST(Memory, ReadWriteRoundTrip)
