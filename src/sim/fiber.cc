@@ -181,13 +181,13 @@ Fiber::enter()
     panicIf(finished_, "Fiber::enter on a finished fiber");
     panicIf(inside_, "Fiber::enter re-entered");
 
-    inside_ = true;
     if (!started_) {
-        started_ = true;
         acquireStack();
         armStack();
+        started_ = true;
         starting_fiber = this;
     }
+    inside_ = true;
     pimstm_fiber_switch(&owner_sp_, &sp_);
     inside_ = false;
     if (finished_)
@@ -266,13 +266,13 @@ Fiber::enter()
     panicIf(finished_, "Fiber::enter on a finished fiber");
     panicIf(inside_, "Fiber::enter re-entered");
 
-    inside_ = true;
     if (!started_) {
-        started_ = true;
         acquireStack();
         armStack();
+        started_ = true;
         starting_fiber = this;
     }
+    inside_ = true;
 #ifdef PIMSTM_FIBER_ASAN
     void *owner_fake_stack = nullptr;
     __sanitizer_start_switch_fiber(&owner_fake_stack, stack_.get(),
