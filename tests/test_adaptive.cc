@@ -12,6 +12,8 @@
  * samples); everything else runs the simulator.
  */
 
+#include <bit>
+
 #include <gtest/gtest.h>
 
 #include "core/stm_factory.hh"
@@ -500,5 +502,90 @@ TEST(AdaptiveSwitch, DecisionLogIsDeterministic)
         EXPECT_EQ(x.cycle, y.cycle);
         EXPECT_EQ(x.action, y.action);
         EXPECT_EQ(x.value, y.value);
+    }
+}
+
+namespace
+{
+
+/** FNV-1a over every field of the decision log, so one number pins the
+ * whole timeline (epochs, cycles, actions, operands and signals). */
+u64
+decisionLogFingerprint(const AdaptiveReport &rep)
+{
+    u64 h = 0xcbf29ce484222325ull;
+    auto mix = [&h](u64 v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(rep.epochs);
+    mix(static_cast<u64>(rep.final_kind));
+    mix(rep.final_tasklet_limit);
+    mix(rep.promotions);
+    mix(rep.demotions);
+    for (const AdaptiveDecision &d : rep.decisions) {
+        mix(d.epoch);
+        mix(d.cycle);
+        mix(static_cast<u64>(d.action));
+        mix(std::bit_cast<u64>(d.value));
+        mix(std::bit_cast<u64>(d.metric));
+    }
+    return h;
+}
+
+} // namespace
+
+/** Pins one live kind-switching run to exact values: three candidates,
+ * MRAM metadata and a hot-lock cache, so the quiesce switch, the
+ * per-kind lock-table translation charge and lazy migration settlement
+ * all land in the simulated totals. Any change to how switching or
+ * migration is charged moves these numbers. */
+TEST(AdaptiveSwitch, PinnedSwitchingRunIsExact)
+{
+    RunSpec spec = benchSpec(core::StmKind::NOrec, 8);
+    spec.tier = core::MetadataTier::Mram;
+    spec.adaptive.enabled = true;
+    spec.adaptive.epoch_cycles = 20000;
+    spec.adaptive.hot_lock_capacity = 4;
+    spec.adaptive.kind_candidates = {core::StmKind::NOrec,
+                                     core::StmKind::TinyEtlWb,
+                                     core::StmKind::VrEtlWb};
+
+    const RunResult r = runB(spec, 40);
+    ASSERT_NE(r.adaptive, nullptr);
+    EXPECT_EQ(r.dpu.total_cycles, 573687u);
+    EXPECT_EQ(r.stm.commits, 320u);
+    EXPECT_EQ(r.stm.aborts, 876u);
+    EXPECT_EQ(r.stm.kind_switches, 3u);
+    EXPECT_EQ(r.stm.lock_migrations, 15u);
+    EXPECT_EQ(r.stm.backoff_cycles, 1158557u);
+    EXPECT_EQ(r.adaptive->decisions.size(), 10u);
+    EXPECT_EQ(decisionLogFingerprint(*r.adaptive), 12402401743264411984ull);
+}
+
+/** A run whose only candidate is RunSpec::kind takes no switching path
+ * at all: it equals the run with no candidates, for every kind. */
+TEST(AdaptiveSwitch, SingleCandidateEqualsPlainRun)
+{
+    for (core::StmKind kind : core::allStmKindsExtended()) {
+        RunSpec plain = benchSpec(kind, 8);
+        plain.adaptive.enabled = true;
+        plain.adaptive.epoch_cycles = 20000;
+        RunSpec single = plain;
+        single.adaptive.kind_candidates = {kind};
+
+        const RunResult a = runB(plain, 30);
+        const RunResult b = runB(single, 30);
+        SCOPED_TRACE(core::stmKindName(kind));
+        expectSameRun(a, b);
+        EXPECT_EQ(a.stm.park_polls, b.stm.park_polls);
+        EXPECT_EQ(a.stm.lock_migrations, b.stm.lock_migrations);
+        EXPECT_EQ(b.stm.kind_switches, 0u);
+        ASSERT_NE(a.adaptive, nullptr);
+        ASSERT_NE(b.adaptive, nullptr);
+        EXPECT_EQ(decisionLogFingerprint(*a.adaptive),
+                  decisionLogFingerprint(*b.adaptive));
     }
 }
