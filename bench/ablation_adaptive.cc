@@ -47,15 +47,15 @@ struct BestPoint
 };
 
 /** Controller configuration used by the adaptive sweeps: every knob
- * except kind switching (exercised by the timeline run below, where a
- * single deterministic run keeps the decision log readable). */
+ * except kind switching (no candidates; exercised by the timeline run
+ * below, where a single deterministic run keeps the decision log
+ * readable). */
 runtime::AdaptiveSpec
 sweepAdaptiveSpec(bool full)
 {
     runtime::AdaptiveSpec a;
     a.enabled = true;
     a.epoch_cycles = full ? 200000 : 50000;
-    a.tune_kind = false;
     return a;
 }
 
@@ -201,7 +201,6 @@ main(int argc, char **argv)
             spec.tasklets = 16;
             spec.seed = 1;
             spec.adaptive = sweepAdaptiveSpec(opt.full);
-            spec.adaptive.tune_kind = true;
             spec.adaptive.kind_candidates = {core::StmKind::NOrec,
                                              core::StmKind::TinyEtlWb,
                                              core::StmKind::VrEtlWb};

@@ -97,7 +97,6 @@ class KvServingBackend : public runtime::ServingBackend
             spec.enabled = true;
             spec.epoch_cycles = 50000;
             spec.tune_throttle = false;
-            spec.tune_kind = false;
             for (unsigned s = 0; s < kv_.numShards(); ++s) {
                 controllers_.push_back(
                     std::make_unique<runtime::AdaptiveController>(

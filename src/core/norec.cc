@@ -5,14 +5,8 @@
 namespace pimstm::core
 {
 
-NOrecStm::NOrecStm(sim::Dpu &dpu, const StmConfig &cfg)
-    : Stm(dpu, cfg)
-{
-    finalizeLayout();
-}
-
 void
-NOrecStm::doStart(DpuContext &ctx, TxDescriptor &tx)
+NOrecAlgorithm::doStart(DpuContext &ctx, TxDescriptor &tx)
 {
     // Snapshot an even (free) sequence lock. The wait while it is odd
     // is NOrec's built-in contention manager. The trace layer reports
@@ -34,7 +28,7 @@ NOrecStm::doStart(DpuContext &ctx, TxDescriptor &tx)
 }
 
 void
-NOrecStm::validateAndExtend(DpuContext &ctx, TxDescriptor &tx)
+NOrecAlgorithm::validateAndExtend(DpuContext &ctx, TxDescriptor &tx)
 {
     const auto prev_phase = ctx.phase();
     ctx.setPhase(sim::Phase::TxValidate);
@@ -69,7 +63,7 @@ NOrecStm::validateAndExtend(DpuContext &ctx, TxDescriptor &tx)
 }
 
 u32
-NOrecStm::doRead(DpuContext &ctx, TxDescriptor &tx, Addr a)
+NOrecAlgorithm::doRead(DpuContext &ctx, TxDescriptor &tx, Addr a)
 {
     // Write-back means reads must consult the write set first.
     if (!tx.write_set.empty()) {
@@ -101,24 +95,14 @@ NOrecStm::doRead(DpuContext &ctx, TxDescriptor &tx, Addr a)
 }
 
 void
-NOrecStm::doWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v)
+NOrecAlgorithm::doWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v)
 {
-    scanCost(ctx, tx.write_set.size(), writeEntryBytes());
-    const int w = tx.findWrite(a);
-    if (w >= 0) {
-        tx.write_set[static_cast<size_t>(w)].value = v;
-        metaWrite(ctx, writeEntryBytes());
-        return;
-    }
-    WriteEntry e;
-    e.addr = a;
-    e.value = v;
-    tx.pushWrite(e);
-    metaWrite(ctx, writeEntryBytes());
+    // Buffered (write-back); no lock table, so no lock index.
+    recordWrite(ctx, tx, a, v, 0, /*in_place=*/false);
 }
 
 void
-NOrecStm::doCommit(DpuContext &ctx, TxDescriptor &tx)
+NOrecAlgorithm::doCommit(DpuContext &ctx, TxDescriptor &tx)
 {
     if (tx.write_set.empty())
         return; // invisible reads + valid snapshot: nothing to do
@@ -147,17 +131,9 @@ NOrecStm::doCommit(DpuContext &ctx, TxDescriptor &tx)
                         contended ? ctx.now() - acquire_from : 0);
     }
 
-    // Durability point (no-op unless durable): the redo image and the
-    // commit record are sealed while the seqlock is odd, so no other
-    // commit can interleave between the record and the write-back.
-    durableCommitPoint(ctx, tx);
-
-    // Write back under the (odd) sequence lock.
-    scanCost(ctx, tx.write_set.size(), writeEntryBytes());
-    for (const auto &e : tx.write_set)
-        ctx.write32(e.addr, e.value);
-
-    durableAfterApply(ctx, tx);
+    // Write back under the (odd) sequence lock, so no other commit can
+    // interleave with the write-back or its durable record.
+    writeBackCommit(ctx, tx);
 
     // Publish: single writer, so a plain store suffices.
     seqlock_ = tx.snapshot + 2;
@@ -165,13 +141,13 @@ NOrecStm::doCommit(DpuContext &ctx, TxDescriptor &tx)
 }
 
 void
-NOrecStm::doAbortCleanup(DpuContext &, TxDescriptor &)
+NOrecAlgorithm::doAbortCleanup(DpuContext &, TxDescriptor &)
 {
     // Write-back with commit-time locking: nothing to undo or release.
 }
 
 void
-NOrecStm::dumpOwnership(std::ostream &os) const
+NOrecAlgorithm::dumpOwnership(std::ostream &os) const
 {
     os << "    seqlock=" << seqlock_
        << ((seqlock_ & 1) != 0 ? " (held: commit in progress)" : " (free)")

@@ -19,17 +19,18 @@
 #ifndef PIMSTM_CORE_NOREC_HH
 #define PIMSTM_CORE_NOREC_HH
 
-#include "core/stm.hh"
+#include "core/algorithm.hh"
 
 namespace pimstm::core
 {
 
-class NOrecStm : public Stm
+class NOrecAlgorithm : public StmAlgorithm
 {
   public:
-    NOrecStm(sim::Dpu &dpu, const StmConfig &cfg);
-
-    const char *name() const override { return "NOrec"; }
+    /** Read and write entries are addr + value; no lock table. */
+    explicit NOrecAlgorithm(Stm &stm)
+        : StmAlgorithm(stm, StmKind::NOrec, 8, 8, 0)
+    {}
 
     /** Current sequence-lock value (tests only). */
     u64 seqlock() const { return seqlock_; }
@@ -50,10 +51,6 @@ class NOrecStm : public Stm
     void doWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v) override;
     void doCommit(DpuContext &ctx, TxDescriptor &tx) override;
     void doAbortCleanup(DpuContext &ctx, TxDescriptor &tx) override;
-
-    size_t readEntryBytes() const override { return 8; }  // addr + value
-    size_t writeEntryBytes() const override { return 8; } // addr + value
-    size_t lockTableEntryBytes() const override { return 0; }
 
     /** A crash mid-commit leaves the seqlock odd; recovery frees it by
      * advancing to the next even value (the write-back it guarded was

@@ -137,7 +137,7 @@ struct StmStats
     u64 backoff_cycles = 0;
     /** txStart polls spent parked by the dynamic tasklet throttle. */
     u64 park_polls = 0;
-    /** Live STM-kind switches performed (SwitchableStm). */
+    /** Live STM-kind switches performed (Stm::requestKindSwitch). */
     u64 kind_switches = 0;
     /** Lock-table entries migrated between tiers (settled
      * promotions + demotions, each charged through the transfer
@@ -156,45 +156,6 @@ struct StmStats
         return total == 0 ? 0.0
                           : static_cast<double>(aborts) /
                                 static_cast<double>(total);
-    }
-
-    StmStats &
-    operator+=(const StmStats &o)
-    {
-        starts += o.starts;
-        commits += o.commits;
-        aborts += o.aborts;
-        for (size_t i = 0; i < abort_reasons.size(); ++i)
-            abort_reasons[i] += o.abort_reasons[i];
-        reads += o.reads;
-        writes += o.writes;
-        validations += o.validations;
-        extensions += o.extensions;
-        read_only_commits += o.read_only_commits;
-        escalations += o.escalations;
-        serial_commits += o.serial_commits;
-        injected_aborts += o.injected_aborts;
-        crashes += o.crashes;
-        boosted_acquires += o.boosted_acquires;
-        boosted_waits += o.boosted_waits;
-        semantic_undos += o.semantic_undos;
-        false_conflicts_avoided += o.false_conflicts_avoided;
-        log_bytes += o.log_bytes;
-        log_appends += o.log_appends;
-        flush_fences += o.flush_fences;
-        durable_commits += o.durable_commits;
-        recoveries += o.recoveries;
-        log_redone += o.log_redone;
-        log_undone += o.log_undone;
-        log_discarded += o.log_discarded;
-        torn_logs += o.torn_logs;
-        lock_waits += o.lock_waits;
-        lock_wait_cycles += o.lock_wait_cycles;
-        backoff_cycles += o.backoff_cycles;
-        park_polls += o.park_polls;
-        kind_switches += o.kind_switches;
-        lock_migrations += o.lock_migrations;
-        return *this;
     }
 };
 

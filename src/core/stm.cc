@@ -7,6 +7,7 @@
 #include <ostream>
 #include <utility>
 
+#include "core/algorithm.hh"
 #include "util/logging.hh"
 
 namespace pimstm::core
@@ -229,8 +230,9 @@ TxHandle::retry()
 // Stm base
 //
 
-Stm::Stm(sim::Dpu &dpu, const StmConfig &cfg)
-    : dpu_(dpu), cfg_(cfg)
+Stm::Stm(sim::Dpu &dpu, const StmConfig &cfg,
+         const std::vector<StmKind> &candidates)
+    : dpu_(dpu), cfg_(cfg), kinds_{cfg.kind}
 {
     fatalIf(cfg.num_tasklets == 0, "StmConfig::num_tasklets must be > 0");
     fatalIf(cfg.num_tasklets > dpu.config().max_tasklets,
@@ -241,12 +243,29 @@ Stm::Stm(sim::Dpu &dpu, const StmConfig &cfg)
     fatalIf(cfg.durable && cfg.boosting,
             "durable mode is incompatible with boosting: semantic "
             "operations have no word-level redo image");
-    fatalIf(cfg.durable && cfg.external_layout,
-            "durable mode is incompatible with the kind-switch wrapper "
-            "(external_layout): no instance would own the log region");
+    for (StmKind k : candidates) {
+        if (std::find(kinds_.begin(), kinds_.end(), k) == kinds_.end())
+            kinds_.push_back(k);
+    }
+    // Escalation and kind switching each quiesce the DPU in txStart;
+    // their composition is untested, so it stays refused.
+    fatalIf(kinds_.size() > 1 && cfg.serial_fallback_after != 0,
+            "live kind switching is incompatible with the "
+            "serial-irrevocable fallback");
+    fatalIf(kinds_.size() > 1 && cfg.durable,
+            "durable mode is incompatible with live kind switching: "
+            "recovery must only ever see one log format");
     descriptors_.reserve(cfg.num_tasklets);
     for (unsigned t = 0; t < cfg.num_tasklets; ++t)
         descriptors_.emplace_back(t, cfg.max_read_set, cfg.max_write_set);
+    for (StmKind k : kinds_)
+        algos_.push_back(makeAlgorithm(*this, k));
+    algo_ = algos_.front().get();
+    reserveMetadata();
+    // The watchdog's diagnostic dump includes this instance's held
+    // ownership records and abort histogram.
+    dpu_.addDiagnostic(this,
+                       [this](std::ostream &os) { dumpDiagnostics(os); });
 }
 
 Stm::~Stm()
@@ -285,17 +304,13 @@ Stm::descriptor(unsigned tasklet)
     return descriptors_[tasklet];
 }
 
-void
-Stm::finalizeLayout()
+unsigned
+Stm::heldOwnershipCount() const
 {
-    panicIf(layout_done_, "finalizeLayout called twice");
-    reserveMetadata();
-    layout_done_ = true;
-    // The watchdog's diagnostic dump includes this instance's held
-    // ownership records and abort histogram. Registered here (not the
-    // base ctor) so the virtuals dispatch on the concrete class.
-    dpu_.addDiagnostic(this,
-                       [this](std::ostream &os) { dumpDiagnostics(os); });
+    unsigned n = 0;
+    for (const auto &a : algos_)
+        n += a->heldOwnershipCount();
+    return n;
 }
 
 void
@@ -303,7 +318,8 @@ Stm::dumpDiagnostics(std::ostream &os) const
 {
     os << "  [stm " << name() << "] held ownership records: "
        << heldOwnershipCount() << "\n";
-    dumpOwnership(os);
+    for (const auto &a : algos_)
+        a->dumpOwnership(os);
     os << "    commits=" << stats_.commits << " aborts=" << stats_.aborts
        << " escalations=" << stats_.escalations
        << " serial_commits=" << stats_.serial_commits << "\n";
@@ -330,41 +346,24 @@ Stm::computedLockTableEntries() const
 }
 
 void
-Stm::initLockAdaptState()
-{
-    if (lock_table_entries_ == 0)
-        return;
-    if (cfg_.lock_heat || hot_capacity_ != 0)
-        lock_heat_.assign(lock_table_entries_, 0);
-    if (hot_capacity_ != 0)
-        hot_state_.assign(lock_table_entries_, kCold);
-}
-
-void
 Stm::reserveMetadata()
 {
-    if (cfg_.external_layout) {
-        // An enclosing SwitchableStm reserved the maximum footprint
-        // across its candidates once; this instance only derives the
-        // geometry its lock indexing and charging need.
-        if (lockTableEntryBytes() == 0) {
-            lock_table_entries_ = 0;
-            lock_table_tier_ = toSimTier(cfg_.metadata_tier);
-            return;
-        }
-        lock_table_entries_ = computedLockTableEntries();
-        lock_table_tier_ = cfg_.external_table_tier;
-        if (lock_table_tier_ != Tier::Wram)
-            hot_capacity_ =
-                std::min(cfg_.hot_lock_capacity, lock_table_entries_);
-        initLockAdaptState();
-        return;
+    // One reservation serves every candidate (the simulated bump
+    // allocator cannot free), so it is sized at the largest entry of
+    // each kind; the lock-table geometry is the same for all of them.
+    size_t read_entry = 0, write_entry = 0, entry_bytes = 0;
+    for (const auto &a : algos_) {
+        read_entry = std::max(read_entry, a->readEntryBytes());
+        write_entry = std::max(write_entry, a->writeEntryBytes());
+        entry_bytes = std::max(entry_bytes, a->lockTableEntryBytes());
+        lock_table_entries_ =
+            std::max(lock_table_entries_, a->lockTableEntries());
     }
 
     // Per-tasklet descriptors (read set + write set + lock list).
     const size_t per_tasklet =
-        static_cast<size_t>(cfg_.max_read_set) * readEntryBytes() +
-        static_cast<size_t>(cfg_.max_write_set) * writeEntryBytes() +
+        static_cast<size_t>(cfg_.max_read_set) * read_entry +
+        static_cast<size_t>(cfg_.max_write_set) * write_entry +
         (static_cast<size_t>(cfg_.max_read_set) + cfg_.max_write_set) * 4 +
         64; // descriptor header (snapshot bounds, counters)
     const size_t sets_bytes = per_tasklet * cfg_.num_tasklets;
@@ -404,16 +403,11 @@ Stm::reserveMetadata()
     }
 
     // ORec lock table (absent for NOrec).
-    const size_t entry_bytes = lockTableEntryBytes();
-    if (entry_bytes == 0) {
-        lock_table_entries_ = 0;
-        lock_table_tier_ = meta_tier;
+    lock_table_tier_ = meta_tier;
+    if (entry_bytes == 0)
         return;
-    }
 
-    const u32 entries = computedLockTableEntries();
-    lock_table_entries_ = entries;
-
+    const u32 entries = lock_table_entries_;
     const size_t table_bytes = static_cast<size_t>(entries) * entry_bytes;
     Tier table_tier = meta_tier;
     if (!dpu_.memory(table_tier).canAlloc(table_bytes)) {
@@ -446,7 +440,8 @@ Stm::reserveMetadata()
             hot_capacity_ = hot;
         }
     }
-    initLockAdaptState();
+    for (const auto &a : algos_)
+        a->initLockAdaptState(table_tier, hot_capacity_ != 0);
 }
 
 void
@@ -461,8 +456,35 @@ Stm::metaWrite(DpuContext &ctx, size_t bytes)
     ctx.touchWrite(toSimTier(cfg_.metadata_tier), bytes);
 }
 
+//
+// StmAlgorithm: lock-table charging and hot-lock migration state, one
+// copy per candidate kind.
+//
+
+StmAlgorithm::StmAlgorithm(Stm &stm, StmKind kind, size_t read_entry_bytes,
+                           size_t write_entry_bytes,
+                           size_t lock_entry_bytes)
+    : stm_(stm), cfg_(stm.cfg_), stats_(stm.stats_), kind_(kind),
+      read_entry_bytes_(read_entry_bytes),
+      write_entry_bytes_(write_entry_bytes),
+      lock_entry_bytes_(lock_entry_bytes),
+      lock_table_entries_(lock_entry_bytes != 0
+                              ? stm.computedLockTableEntries()
+                              : 0)
+{}
+
 void
-Stm::lockTableRead(DpuContext &ctx, u32 index, size_t bytes)
+StmAlgorithm::initLockAdaptState(Tier table_tier, bool migrate)
+{
+    lock_table_tier_ = table_tier;
+    if (lock_table_entries_ == 0 || !migrate)
+        return;
+    lock_heat_.assign(lock_table_entries_, 0);
+    hot_state_.assign(lock_table_entries_, kCold);
+}
+
+void
+StmAlgorithm::lockTableRead(DpuContext &ctx, u32 index, size_t bytes)
 {
     if (!lock_heat_.empty())
         ++lock_heat_[index];
@@ -478,7 +500,7 @@ Stm::lockTableRead(DpuContext &ctx, u32 index, size_t bytes)
 }
 
 void
-Stm::lockTableWrite(DpuContext &ctx, u32 index, size_t bytes)
+StmAlgorithm::lockTableWrite(DpuContext &ctx, u32 index, size_t bytes)
 {
     if (!lock_heat_.empty())
         ++lock_heat_[index];
@@ -494,12 +516,12 @@ Stm::lockTableWrite(DpuContext &ctx, u32 index, size_t bytes)
 }
 
 void
-Stm::settleMigration(DpuContext &ctx, u32 index)
+StmAlgorithm::settleMigration(DpuContext &ctx, u32 index)
 {
     // Lazy settlement: the controller only flips host-side state; the
     // copy itself is charged here, on the first post-decision access,
     // through the same transfer cost model as any other traffic.
-    const size_t entry_bytes = lockTableEntryBytes();
+    const size_t entry_bytes = lock_entry_bytes_;
     u8 &st = hot_state_[index];
     if (st == kPromotePending) {
         ctx.touchRead(lock_table_tier_, entry_bytes);
@@ -514,8 +536,8 @@ Stm::settleMigration(DpuContext &ctx, u32 index)
 }
 
 void
-Stm::migrateLocks(const std::vector<u32> &promote,
-                  const std::vector<u32> &demote)
+StmAlgorithm::migrateLocks(const std::vector<u32> &promote,
+                           const std::vector<u32> &demote)
 {
     if (hot_state_.empty())
         return;
@@ -555,22 +577,72 @@ Stm::setBackoffParams(Cycles base, unsigned max_shift)
     cfg_.abort_backoff_max_shift = max_shift;
 }
 
-void
-Stm::setCmWaitPolls(unsigned polls)
+//
+// Stm: adaptation surface and live kind switching
+//
+
+const std::vector<u32> &
+Stm::lockHeat() const
 {
-    cfg_.cm_wait_polls = polls;
+    if (algos_.size() == 1)
+        return algo_->lock_heat_;
+    heat_sum_.clear();
+    for (const auto &a : algos_) {
+        const auto &h = a->lock_heat_;
+        if (h.size() > heat_sum_.size())
+            heat_sum_.resize(h.size(), 0);
+        for (size_t i = 0; i < h.size(); ++i)
+            heat_sum_[i] += h[i];
+    }
+    return heat_sum_;
 }
 
 void
-Stm::setCmWaitCycles(Cycles cycles)
+Stm::migrateLocks(const std::vector<u32> &promote,
+                  const std::vector<u32> &demote)
 {
-    cfg_.cm_wait_cycles = cycles;
+    // Every candidate records the intent; a kind that becomes current
+    // after a switch settles its own pending entries on first access.
+    for (const auto &a : algos_)
+        a->migrateLocks(promote, demote);
+}
+
+bool
+Stm::requestKindSwitch(StmKind k)
+{
+    const auto it = std::find(kinds_.begin(), kinds_.end(), k);
+    if (it == kinds_.end() || k == cfg_.kind)
+        return false;
+    pending_ = static_cast<int>(it - kinds_.begin());
+    return true;
 }
 
 void
-Stm::setTaskletLimit(unsigned limit)
+Stm::switchKind(DpuContext &ctx)
 {
-    tasklet_limit_ = limit;
+    const StmAlgorithm &from = *algo_;
+    algo_ = algos_[static_cast<size_t>(pending_)].get();
+    cfg_.kind = kinds_[static_cast<size_t>(pending_)];
+    pending_ = -1;
+    // The DPU is drained, so every ownership record must have been
+    // released by the final commit/abort — a leak here would corrupt
+    // the next kind's view of the (shared) data words.
+    panicIf(from.heldOwnershipCount() != 0,
+            "kind switch with ownership records still held by ",
+            from.name());
+    ++stats_.kind_switches;
+    // Metadata translation: stream the old kind's lock table out and
+    // initialize the new kind's — both at the resolved table tier.
+    const size_t old_bytes =
+        static_cast<size_t>(from.lockTableEntries()) *
+        from.lockTableEntryBytes();
+    const size_t new_bytes =
+        static_cast<size_t>(algo_->lockTableEntries()) *
+        algo_->lockTableEntryBytes();
+    if (old_bytes != 0)
+        ctx.touchRead(lock_table_tier_, old_bytes);
+    if (new_bytes != 0)
+        ctx.touchWrite(lock_table_tier_, new_bytes);
 }
 
 void
@@ -655,7 +727,7 @@ Stm::crashOut(DpuContext &ctx, TxDescriptor &tx, bool in_tx)
         // the transaction holds, exactly as an abort would — including
         // replaying the semantic undo log so eagerly applied boosted
         // operations do not leak into the committed state.
-        doAbortCleanup(ctx, tx);
+        algo_->doAbortCleanup(ctx, tx);
         replaySemanticUndo(ctx, tx);
         releaseSemanticLocks(ctx, tx);
         --active_txs_;
@@ -702,7 +774,6 @@ Stm::releaseSerialToken(DpuContext &ctx, TxDescriptor &tx)
 void
 Stm::txStart(DpuContext &ctx, TxDescriptor &tx)
 {
-    panicIf(!layout_done_, "STM used before finalizeLayout");
     // Dynamic throttle (docs/adaptive.md): surplus tasklets park at the
     // transaction boundary — the one point where holding no ownership
     // records is guaranteed — until the controller raises the limit.
@@ -710,6 +781,18 @@ Stm::txStart(DpuContext &ctx, TxDescriptor &tx)
     while (tasklet_limit_ != 0 && tx.tasklet() >= tasklet_limit_) {
         ++stats_.park_polls;
         ctx.delay(cfg_.park_poll_cycles);
+    }
+    // Live kind switch (docs/adaptive.md): park until the in-flight
+    // transactions drain (each finishes in bounded simulated time).
+    // The first tasklet to observe the drain switches; the check and
+    // the flip are host-side with no scheduling point between them, so
+    // exactly one tasklet switches. A parked tasklet has not started
+    // yet, so no transaction straddles the switch.
+    if (pending_ >= 0) {
+        while (pending_ >= 0 && active_txs_ != 0)
+            ctx.delay(cfg_.serial_wait_cycles);
+        if (pending_ >= 0)
+            switchKind(ctx);
     }
     maybeInjectFault(ctx, tx, /*can_abort=*/false, /*in_tx=*/false);
     ctx.txAccountingBegin();
@@ -736,7 +819,7 @@ Stm::txStart(DpuContext &ctx, TxDescriptor &tx)
         tx.irrevocable = true;
         ++stats_.escalations;
     } else {
-        doStart(ctx, tx);
+        algo_->doStart(ctx, tx);
     }
     ctx.setPhase(sim::Phase::TxOther);
 }
@@ -746,7 +829,8 @@ Stm::txRead(DpuContext &ctx, TxDescriptor &tx, Addr a)
 {
     maybeInjectFault(ctx, tx, /*can_abort=*/true, /*in_tx=*/true);
     ctx.setPhase(sim::Phase::TxRead);
-    const u32 v = tx.irrevocable ? ctx.read32(a) : doRead(ctx, tx, a);
+    const u32 v =
+        tx.irrevocable ? ctx.read32(a) : algo_->doRead(ctx, tx, a);
     ++stats_.reads;
     if (cfg_.trace) {
         cfg_.trace->record(ctx.now(), ctx.taskletId(), TxEvent::Read, a,
@@ -764,7 +848,7 @@ Stm::txWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v)
     if (tx.irrevocable)
         ctx.write32(a, v); // exclusive access: write in place
     else
-        doWrite(ctx, tx, a, v);
+        algo_->doWrite(ctx, tx, a, v);
     tx.read_only = false;
     ++stats_.writes;
     if (cfg_.trace) {
@@ -786,7 +870,7 @@ Stm::txCommit(DpuContext &ctx, TxDescriptor &tx)
         releaseSerialToken(ctx, tx);
         ++stats_.serial_commits;
     } else {
-        doCommit(ctx, tx);
+        algo_->doCommit(ctx, tx);
     }
     // Boosted state: the eager writes are now the committed truth;
     // discard the inverse log and hand the abstract locks back.
@@ -826,7 +910,7 @@ Stm::txAbort(DpuContext &ctx, TxDescriptor &tx, AbortReason reason,
               "serial_fallback_after is incompatible with retry()-based "
               "atomic blocks");
     }
-    doAbortCleanup(ctx, tx);
+    algo_->doAbortCleanup(ctx, tx);
     // Word-level rollback done; now undo the eagerly applied boosted
     // operations (LIFO, abstract locks still held) and release.
     replaySemanticUndo(ctx, tx);
@@ -859,8 +943,52 @@ Stm::txAbort(DpuContext &ctx, TxDescriptor &tx, AbortReason reason,
 }
 
 //
-// Durable commit protocol (docs/durability.md)
+// Write-set plumbing and the durable commit protocol
+// (docs/durability.md)
 //
+
+void
+Stm::recordWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v,
+                 u32 lock_index, size_t entry_bytes, bool in_place)
+{
+    scanCost(ctx, tx.write_set.size(), entry_bytes);
+    const int w = tx.findWrite(a);
+    if (w >= 0) {
+        tx.write_set[static_cast<size_t>(w)].value = v;
+        metaWrite(ctx, entry_bytes);
+        if (in_place)
+            ctx.write32(a, v);
+        return;
+    }
+    WriteEntry e;
+    e.addr = a;
+    e.value = v;
+    e.lock_index = lock_index;
+    if (in_place) {
+        e.old_value = ctx.read32(a);
+        // Write-ahead rule (no-op unless durable): the undo entry is
+        // fenced before the in-place write below, with the ownership
+        // record held.
+        durableWalBeforeWrite(ctx, tx, a, e.old_value);
+    }
+    tx.pushWrite(e);
+    metaWrite(ctx, entry_bytes);
+    if (in_place)
+        ctx.write32(a, v);
+}
+
+void
+Stm::writeBackCommit(DpuContext &ctx, TxDescriptor &tx, size_t entry_bytes)
+{
+    // Durability point (no-op unless durable): the redo image and the
+    // commit record are sealed with every ownership record held, before
+    // the first in-place write.
+    durableCommitPoint(ctx, tx);
+    scanCost(ctx, tx.write_set.size(), entry_bytes);
+    for (const auto &e : tx.write_set)
+        ctx.write32(e.addr, e.value);
+    durableAfterApply(ctx, tx);
+}
 
 void
 Stm::writeLogHeader(DpuContext &ctx, unsigned tasklet, u32 seq,
@@ -989,7 +1117,7 @@ Stm::durableWalBeforeWrite(DpuContext &ctx, TxDescriptor &tx, Addr a,
 }
 
 void
-Stm::durableCommitInPlace(DpuContext &ctx, TxDescriptor &tx)
+Stm::writeThroughCommit(DpuContext &ctx, TxDescriptor &tx)
 {
     const unsigned t = tx.tasklet();
     if (!durable_log_ || slot_state_[t] != kSlotActive)
@@ -1013,15 +1141,17 @@ Stm::durableCommitInPlace(DpuContext &ctx, TxDescriptor &tx)
 }
 
 void
-Stm::durableAbortTruncate(DpuContext &ctx, TxDescriptor &tx)
+Stm::writeThroughUndo(DpuContext &ctx, TxDescriptor &tx)
 {
+    for (auto it = tx.write_set.rbegin(); it != tx.write_set.rend(); ++it)
+        ctx.write32(it->addr, it->old_value);
     const unsigned t = tx.tasklet();
     if (!durable_log_ || slot_state_[t] != kSlotActive)
         return;
-    // The caller (doAbortCleanup) restored every old value with the
-    // ownership records still held; flush those restores, then retire
-    // the log. The truncation stays unfenced: a resurrected undo
-    // record replays exactly the values the restore just flushed.
+    // Every old value is restored with the ownership records still
+    // held; flush those restores, then retire the log. The truncation
+    // stays unfenced: a resurrected undo record replays exactly the
+    // values the restore just flushed.
     durableFence(ctx);
     writeLogHeader(ctx, t, static_cast<u32>(++durable_seq_), 0,
                    kSlotEmpty);
@@ -1165,7 +1295,8 @@ Stm::recoverAfterCrash()
 
     // Volatile STM bookkeeping: the host vectors survived the crash,
     // but the transactions they describe did not.
-    clearLocksForRecovery();
+    for (const auto &a : algos_)
+        a->clearLocksForRecovery();
     for (auto &d : descriptors_) {
         d.reset();
         d.retries = 0;

@@ -201,7 +201,7 @@ struct StmConfig
      * identical to a build without the subsystem (CI-gated).
      * Incompatible with serial_fallback_after (direct writes bypass
      * the log), boosting (semantic operations have no redo image) and
-     * external_layout (the kind-switch wrapper owns no log region).
+     * live kind switching (the log format is fixed per kind).
      */
     bool durable = false;
 
@@ -215,32 +215,15 @@ struct StmConfig
     Cycles park_poll_cycles = 512;
 
     /**
-     * Count lock-table accesses per entry into a host-side heat vector
-     * (Stm::lockHeat), the signal behind the controller's hot-metadata
-     * migration policy. Host-only; implied by hot_lock_capacity.
-     */
-    bool lock_heat = false;
-
-    /**
      * Capacity, in entries, of the WRAM hot-lock cache used by the
      * hot-metadata migration knob. 0 disables migration and keeps
      * lock-table charging bitwise unchanged. When non-zero and the
      * lock table resolves to MRAM, a WRAM region of capacity × entry
-     * bytes is reserved at construction; the knob is inert when the
-     * table already lives in WRAM or the region does not fit.
+     * bytes is reserved at construction and per-entry access counts
+     * feed Stm::lockHeat; the knob is inert when the table already
+     * lives in WRAM or the region does not fit.
      */
     u32 hot_lock_capacity = 0;
-
-    /**
-     * Layout is owned externally: an enclosing SwitchableStm has
-     * already reserved the maximum metadata footprint across its
-     * candidates, so this instance computes its lock-table geometry
-     * (indexing must agree with the router's) but reserves no
-     * simulated memory. The resolved table tier is taken from
-     * external_table_tier instead of re-running spill resolution.
-     */
-    bool external_layout = false;
-    Tier external_table_tier = Tier::Mram;
     /** @} */
 };
 
@@ -386,43 +369,61 @@ class StructureScope
     u8 saved_;
 };
 
+class StmAlgorithm;
+
 /**
- * Base class of all seven STM implementations. One instance per DPU;
- * tasklets of that DPU share it. The base class owns the descriptors,
- * the statistics, metadata-tier cost charging and the simulated-memory
- * capacity reservation; subclasses implement the algorithm.
+ * The transaction engine. One instance per DPU; tasklets of that DPU
+ * share it. The engine owns the descriptors, the statistics, the
+ * metadata layout and its simulated-memory reservation, tracing, fault
+ * delivery, the serial-irrevocable token, the boosting unwind, the
+ * durable log and the adaptation knobs; the algorithm (NOrec, Tiny or
+ * VR — algorithm.hh) supplies the do* hooks run inside each wrapper.
+ *
+ * The engine holds one algorithm per candidate kind — exactly one
+ * unless live kind switching is requested. With several, metadata is
+ * reserved once at the largest footprint across the candidates, and
+ * requestKindSwitch moves the whole DPU to another kind at a quiesce
+ * point (docs/adaptive.md).
  */
-class Stm
+class Stm final
 {
   public:
-    Stm(sim::Dpu &dpu, const StmConfig &cfg);
-    virtual ~Stm();
+    /**
+     * @p cfg.kind selects the initially running kind; @p candidates
+     * lists the kinds a live switch may move to (cfg.kind is added in
+     * front when absent). Throws FatalError when the metadata placement
+     * cannot be satisfied, or when two or more candidates meet the
+     * serial-irrevocable fallback or durable mode.
+     */
+    Stm(sim::Dpu &dpu, const StmConfig &cfg,
+        const std::vector<StmKind> &candidates = {});
+    ~Stm();
 
     Stm(const Stm &) = delete;
     Stm &operator=(const Stm &) = delete;
 
-    /** Algorithm display name. */
-    virtual const char *name() const = 0;
+    /** Display name of the running algorithm. */
+    const char *name() const { return stmKindName(cfg_.kind); }
 
+    /** The running kind (moves with a live switch). */
     StmKind kind() const { return cfg_.kind; }
     const StmConfig &config() const { return cfg_; }
     MetadataTier metadataTier() const { return cfg_.metadata_tier; }
 
+    /** Candidate kinds in construction order, the initial kind first. */
+    const std::vector<StmKind> &candidates() const { return kinds_; }
+
+    /** The running algorithm (tests and diagnostics). */
+    StmAlgorithm &algorithm() { return *algo_; }
+
     /** Descriptor of @p tasklet (also reachable via ctx.taskletId()). */
     TxDescriptor &descriptor(unsigned tasklet);
 
-    /**
-     * @{ Transaction demarcation; normally used via atomically().
-     * Virtual so SwitchableStm can route whole transactions to its
-     * current inner implementation; the base bodies carry all the
-     * cross-algorithm bookkeeping (stats, faults, serial-irrevocable
-     * escalation, boosting unwind, tracing, backoff).
-     */
-    virtual void txStart(DpuContext &ctx, TxDescriptor &tx);
-    virtual u32 txRead(DpuContext &ctx, TxDescriptor &tx, Addr a);
-    virtual void txWrite(DpuContext &ctx, TxDescriptor &tx, Addr a,
-                         u32 v);
-    virtual void txCommit(DpuContext &ctx, TxDescriptor &tx);
+    /** @{ Transaction demarcation; normally used via atomically(). */
+    void txStart(DpuContext &ctx, TxDescriptor &tx);
+    u32 txRead(DpuContext &ctx, TxDescriptor &tx, Addr a);
+    void txWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v);
+    void txCommit(DpuContext &ctx, TxDescriptor &tx);
     /**
      * Abort the transaction. @p conflict_lock names the lock-table
      * index the conflict was detected on (kNoLockIndex when there is
@@ -431,72 +432,70 @@ class Stm
      * address when known. Both feed the trace layer's abort
      * attribution and cost nothing when tracing is off.
      */
-    [[noreturn]] virtual void txAbort(DpuContext &ctx, TxDescriptor &tx,
-                                      AbortReason reason,
-                                      u32 conflict_lock = kNoLockIndex,
-                                      Addr conflict_addr = 0);
+    [[noreturn]] void txAbort(DpuContext &ctx, TxDescriptor &tx,
+                              AbortReason reason,
+                              u32 conflict_lock = kNoLockIndex,
+                              Addr conflict_addr = 0);
     /** @} */
 
     /** Aggregate statistics across all tasklets of this DPU. */
     const StmStats &stats() const { return stats_; }
     StmStats &stats() { return stats_; }
 
-    /** Statistics including any inner instances: SwitchableStm merges
-     * its candidates' counters here; plain instances return stats().
-     * Result-assembly code (the driver) must use this overload. */
-    virtual const StmStats &aggregateStats() const { return stats_; }
-
-    /** Transactions currently between txStart and commit/abort — the
-     * quiesce count the kind-switch protocol drains to zero. */
-    virtual unsigned activeTxCount() const { return active_txs_; }
+    /**
+     * Request a live switch to candidate @p k. Returns false (no-op)
+     * when @p k is not a candidate or already running. The next
+     * txStart parks until the in-flight transactions drain; the first
+     * tasklet to observe the drain performs the switch — a host-side
+     * flip plus a streamed translation charge of both lock tables.
+     */
+    bool requestKindSwitch(StmKind k);
 
     /**
      * @{ Online reconfiguration hooks (docs/adaptive.md). Host-side
      * mutations of config knobs the hot paths already consult, applied
-     * by the epoch controller between scheduling points; SwitchableStm
-     * forwards them to every candidate so settings survive switches.
+     * by the epoch controller between scheduling points.
      */
     /** Replace the post-abort backoff parameters. base = 0 disables
      * backoff entirely (no RNG draw per abort). */
-    virtual void setBackoffParams(Cycles base, unsigned max_shift);
+    void setBackoffParams(Cycles base, unsigned max_shift);
     /** Replace the wait-on-contention poll budget (0 = abort at once). */
-    virtual void setCmWaitPolls(unsigned polls);
+    void setCmWaitPolls(unsigned polls) { cfg_.cm_wait_polls = polls; }
     /** Replace the per-poll contention wait. */
-    virtual void setCmWaitCycles(Cycles cycles);
+    void setCmWaitCycles(Cycles cycles) { cfg_.cm_wait_cycles = cycles; }
     /**
      * Dynamic tasklet throttle: tasklets with id >= @p limit park at
      * their next txStart (polling every park_poll_cycles) until the
      * limit is raised. 0 = off. Parking happens at a scheduler-safe
-     * point — never inside a transaction — so no ownership records are
-     * held while parked.
+     * point — never inside a transaction, and before a pending kind
+     * switch's quiesce — so no ownership records are held while parked.
      */
-    virtual void setTaskletLimit(unsigned limit);
+    void setTaskletLimit(unsigned limit) { tasklet_limit_ = limit; }
     unsigned taskletLimit() const { return tasklet_limit_; }
     /** @} */
 
     /**
      * @{ Hot-lock migration between MRAM and WRAM (docs/adaptive.md).
-     * The heat vector counts per-entry lock-table accesses (host-side,
-     * allocated only when StmConfig enables it — empty means off).
-     * migrateLocks records promotion/demotion intents host-side at an
-     * epoch boundary; the entry transfer is charged lazily through the
-     * simulated cost model on the first subsequent access, keeping the
-     * decision itself free and deterministic. Capacity enforcement is
-     * the caller's job. SwitchableStm forwards to all candidates.
+     * Each candidate's lock table keeps its own heat vector (per-entry
+     * access counts, host-side, allocated only when the WRAM hot cache
+     * is reserved — empty means off) and promotion state. lockHeat sums
+     * the heat over the candidates; migrateLocks records the
+     * promotion/demotion intents in every candidate at an epoch
+     * boundary, and each entry transfer is charged lazily through the
+     * simulated cost model on the first subsequent access by the kind
+     * that owns it, keeping the decision itself free and deterministic.
+     * Capacity enforcement is the caller's job.
      */
-    virtual const std::vector<u32> &lockHeat() const { return lock_heat_; }
+    const std::vector<u32> &lockHeat() const;
     u32 hotLockCapacity() const { return hot_capacity_; }
-    virtual void migrateLocks(const std::vector<u32> &promote,
-                              const std::vector<u32> &demote);
-    /** Per-entry migration state for tests/diagnostics: 0 cold, 1 hot
-     * (WRAM-resident), 2 promote-pending, 3 demote-pending. */
-    const std::vector<u8> &hotState() const { return hot_state_; }
+    void migrateLocks(const std::vector<u32> &promote,
+                      const std::vector<u32> &demote);
     /** @} */
 
     /** Effective tier of the ORec lock table (may have spilled). */
     Tier lockTableTier() const { return lock_table_tier_; }
 
-    /** Entries in the ORec lock table (0 for NOrec). */
+    /** Entries in the ORec lock table (0 when no candidate has one). */
     u32 lockTableEntries() const { return lock_table_entries_; }
 
     /** Bytes of simulated memory reserved for metadata, per tier. */
@@ -504,15 +503,11 @@ class Stm
     size_t metadataBytesMram() const { return meta_bytes_mram_; }
 
     /**
-     * @{ Robustness introspection. The count is the number of ownership
-     * records (seqlock / ORecs / rw-lock words) currently held by any
-     * transaction — 0 when quiescent, which the crash-injection tests
-     * assert after a mid-transaction crash. dumpOwnership appends one
-     * line per held record to the watchdog's diagnostic dump.
+     * Ownership records (seqlock / ORecs / rw-lock words) currently
+     * held by any transaction — 0 when quiescent, which the
+     * crash-injection tests assert after a mid-transaction crash.
      */
-    virtual unsigned heldOwnershipCount() const { return 0; }
-    virtual void dumpOwnership(std::ostream &os) const { (void)os; }
-    /** @} */
+    unsigned heldOwnershipCount() const;
 
     /**
      * @{ Durable-transaction surface (docs/durability.md). After an
@@ -529,192 +524,78 @@ class Stm
     RecoveryReport recoverAfterCrash();
     /** @} */
 
-  protected:
-    /** @{ Algorithm hooks. doCommit/doRead/doWrite may abort by calling
-     * txAbort(), which cleans up via doAbortCleanup() and throws. */
-    virtual void doStart(DpuContext &ctx, TxDescriptor &tx) = 0;
-    virtual u32 doRead(DpuContext &ctx, TxDescriptor &tx, Addr a) = 0;
-    virtual void doWrite(DpuContext &ctx, TxDescriptor &tx, Addr a,
-                         u32 v) = 0;
-    virtual void doCommit(DpuContext &ctx, TxDescriptor &tx) = 0;
-    virtual void doAbortCleanup(DpuContext &ctx, TxDescriptor &tx) = 0;
-
-    /** Entry sizes, used for capacity reservation and scan costs. */
-    virtual size_t readEntryBytes() const = 0;
-    virtual size_t writeEntryBytes() const = 0;
-
-    /** Lock-table entry size (0 = no table, i.e. NOrec). */
-    virtual size_t lockTableEntryBytes() const = 0;
-    /** @} */
+  private:
+    friend class StmAlgorithm;
 
     /** @{ Metadata cost charging at the configured placement. */
     void metaRead(DpuContext &ctx, size_t bytes);
     void metaWrite(DpuContext &ctx, size_t bytes);
-    /**
-     * Lock-table access cost for entry @p index (may differ from
-     * metaRead after spill). Index-aware so the adaptation layer can
-     * maintain per-entry heat and charge hot entries at WRAM cost after
-     * migration; with heat and migration off (the default) this is the
-     * plain tier charge plus two never-taken compares.
-     */
-    void lockTableRead(DpuContext &ctx, u32 index, size_t bytes);
-    void lockTableWrite(DpuContext &ctx, u32 index, size_t bytes);
     /** @} */
-
-    /** Map a data address to a lock-table index. Like TinySTM's
-     * LOCK_IDX this direct-maps consecutive words to consecutive
-     * entries, so a table at least as large as the data has no
-     * aliasing at all; smaller tables alias with stride = table size
-     * (the paper's memory-vs-aliasing trade-off, ablation A1). */
-    u32
-    lockIndexFor(Addr a) const
-    {
-        // With no lock table (NOrec) the mask arithmetic below wraps to
-        // 0xffffffff and silently returns garbage — catch the misuse.
-        if (lock_table_entries_ == 0) {
-            panic("lockIndexFor on an STM without a lock table (",
-                  name(), ")");
-        }
-        return (a >> 2) & (lock_table_entries_ - 1);
-    }
 
     /** Charge the cost of scanning @p entries set entries of
      * @p entry_bytes each (streamed, not per-entry). */
     void scanCost(DpuContext &ctx, size_t entries, size_t entry_bytes);
 
     /**
-     * @{ Trace emission helpers for the algorithm implementations.
-     * All are a single null compare when tracing is off; none charge
-     * simulated cost. NOrec reports its global seqlock as index 0.
+     * @{ Write-set plumbing shared by the algorithms, and the only code
+     * that places the durable commit protocol (docs/durability.md)
+     * around in-place writes. Each durable step is a single never-taken
+     * compare when StmConfig::durable is off. @p entry_bytes is the
+     * calling algorithm's write-entry size (scan and append costs).
+     *
+     * recordWrite buffers a write in the write set, or for write-through
+     * (@p in_place) also applies it after saving the old value; under
+     * durable mode that first write is undo-logged with the ownership
+     * record held, before the in-place write (entry + fence, the
+     * write-ahead rule).
+     *
+     * writeBackCommit applies a write-back commit once validation has
+     * succeeded and every ownership record is held. Under durable mode
+     * it first appends the redo image of the write set to the tasklet's
+     * log slot, seals it with a sequenced commit record and issues a
+     * flush fence — the transaction's durability point; after the
+     * in-place writes it fences the applied data and truncates the
+     * slot. The truncation stays unfenced because a resurrected
+     * committed record only re-applies the values this commit already
+     * made durable.
+     *
+     * writeThroughCommit is the write-through durability point, called
+     * before ownership is released: fence (the in-place writes are now
+     * flushed), truncate, fence again so a stale *active* record can
+     * never resurface and undo committed data.
+     *
+     * writeThroughUndo restores the old values newest first, then —
+     * still before the ownership records are released, since the slot
+     * must never outlive the locks protecting the addresses its stale
+     * undo image names — fences the restored values and truncates the
+     * undo log, leaving the truncation unfenced: replaying a
+     * resurrected undo log rewrites the very values just restored.
      */
-    void
-    traceLockAcquire(DpuContext &ctx, u32 index, Cycles wait_cycles)
-    {
-        if (cfg_.trace) {
-            cfg_.trace->record(ctx.now(), ctx.taskletId(),
-                               TxEvent::LockAcquire, index, wait_cycles);
-            cfg_.trace->noteLockAcquire(index, wait_cycles);
-        }
-    }
-
-    void
-    traceLockWait(DpuContext &ctx, u32 index, Cycles cycles)
-    {
-        // Host-side contention tally for the epoch controller — the
-        // wait itself is charged by the caller; counting it here never
-        // changes the charge sequence.
-        ++stats_.lock_waits;
-        stats_.lock_wait_cycles += cycles;
-        if (cfg_.trace) {
-            cfg_.trace->record(ctx.now(), ctx.taskletId(),
-                               TxEvent::LockWait, index, cycles);
-            cfg_.trace->noteLockWait(index, cycles);
-        }
-    }
-
-    void
-    traceValidate(DpuContext &ctx, size_t entries)
-    {
-        if (cfg_.trace) {
-            cfg_.trace->record(ctx.now(), ctx.taskletId(),
-                               TxEvent::Validate,
-                               static_cast<u32>(entries));
-        }
-    }
+    void recordWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v,
+                     u32 lock_index, size_t entry_bytes, bool in_place);
+    void writeBackCommit(DpuContext &ctx, TxDescriptor &tx,
+                         size_t entry_bytes);
+    void writeThroughCommit(DpuContext &ctx, TxDescriptor &tx);
+    void writeThroughUndo(DpuContext &ctx, TxDescriptor &tx);
     /** @} */
 
-    /**
-     * @{ Durable commit protocol hooks (docs/durability.md). Each is a
-     * single never-taken compare when StmConfig::durable is off.
-     *
-     * Write-back kinds call durableCommitPoint once validation has
-     * succeeded and every ownership record is held, BEFORE the first
-     * in-place write: it appends the redo image of the write set to
-     * the tasklet's log slot, seals it with a sequenced commit record
-     * and issues a flush fence — the transaction's durability point.
-     * After write-back (ownership still held) durableAfterApply fences
-     * the applied data and truncates the slot; the truncation itself
-     * stays unfenced because a resurrected committed record only
-     * re-applies the values this commit already made durable.
-     *
-     * Write-through kinds undo-log through durableWalBeforeWrite
-     * (called by their recordWrite with the ownership record held,
-     * before the in-place write: entry + fence, the write-ahead rule)
-     * and call durableCommitInPlace before releasing ownership: fence
-     * (the durability point — the in-place writes are now flushed),
-     * truncate, fence again so a stale *active* record can never
-     * resurface and undo committed data. The abort-side truncation
-     * (wired in txAbort) fences the restored values first and leaves
-     * the truncation unfenced: replaying a resurrected undo log
-     * rewrites the very values doAbortCleanup already restored.
-     */
+    /** @{ The durable steps the write-set plumbing composes. */
     void durableCommitPoint(DpuContext &ctx, TxDescriptor &tx);
     void durableAfterApply(DpuContext &ctx, TxDescriptor &tx);
-    void durableCommitInPlace(DpuContext &ctx, TxDescriptor &tx);
     void durableWalBeforeWrite(DpuContext &ctx, TxDescriptor &tx, Addr a,
                                u32 old_value);
-    /** WT abort-side truncation; called by doAbortCleanup AFTER the
-     * old values are restored and BEFORE the ownership records are
-     * released (the slot must never outlive the locks protecting the
-     * addresses its stale undo image names). */
-    void durableAbortTruncate(DpuContext &ctx, TxDescriptor &tx);
-
-    /** True for kinds whose doWrite mutates data in place (WT), which
-     * durable mode must undo-log under the write-ahead rule. */
-    virtual bool writesInPlace() const { return false; }
-
-    /** Reset every ownership record to the free state after a crash.
-     * The records are host-side vectors, so they survive the simulated
-     * power loss — but only as stale bookkeeping of transactions that
-     * no longer exist. */
-    virtual void clearLocksForRecovery() {}
     /** @} */
 
-    sim::Dpu &dpu_;
-    StmConfig cfg_;
-    StmStats stats_;
-    std::vector<TxDescriptor> descriptors_;
-
-  private:
-    /** Reserve simulated memory for descriptors and the lock table;
-     * resolves lock-table spill. Called from the constructor tail via
-     * finalizeLayout() in each subclass ctor. */
-    friend class StmFactoryAccess;
-
+    /** Reserve simulated memory for descriptors, the durable log, the
+     * lock table and the hot-lock cache at the largest footprint across
+     * the candidates; resolves lock-table spill. */
     void reserveMetadata();
 
     /** Lock-table size implied by the config (hint, override, clamps). */
     u32 computedLockTableEntries() const;
 
-    /** Allocate the heat / hot-state vectors per the resolved layout. */
-    void initLockAdaptState();
-
-    /** @{ Hot-lock migration state (docs/adaptive.md). kHot entries
-     * charge WRAM cost; pending entries pay the tier transfer on their
-     * first access after the epoch decision (settleMigration). */
-    static constexpr u8 kCold = 0;
-    static constexpr u8 kHot = 1;
-    static constexpr u8 kPromotePending = 2;
-    static constexpr u8 kDemotePending = 3;
-
-    void settleMigration(DpuContext &ctx, u32 index);
-    /** @} */
-
-    Tier lock_table_tier_ = Tier::Mram;
-    u32 lock_table_entries_ = 0;
-    size_t meta_bytes_wram_ = 0;
-    size_t meta_bytes_mram_ = 0;
-    bool layout_done_ = false;
-
-    /** Dynamic tasklet throttle (0 = off; see setTaskletLimit). */
-    unsigned tasklet_limit_ = 0;
-
-    /** Per-entry access counts (empty = heat tracking off). */
-    std::vector<u32> lock_heat_;
-    /** Per-entry migration state (empty = migration off). */
-    std::vector<u8> hot_state_;
-    /** Resolved WRAM hot-cache capacity in entries (0 = off). */
-    u32 hot_capacity_ = 0;
+    /** Perform the pending kind switch on a drained DPU. */
+    void switchKind(DpuContext &ctx);
 
     /** Atomic-register key of the serial-irrevocable global token. */
     static constexpr u32 kSerialTokenKey = 0x5e71a1bcu;
@@ -748,10 +629,38 @@ class Stm
     /** Watchdog diagnostic callback body (registered with the DPU). */
     void dumpDiagnostics(std::ostream &os) const;
 
+    sim::Dpu &dpu_;
+    StmConfig cfg_;
+    StmStats stats_;
+    std::vector<TxDescriptor> descriptors_;
+
+    /** @{ One algorithm per candidate kind (kinds_[i] runs algos_[i]);
+     * algo_ is the running one. */
+    std::vector<StmKind> kinds_;
+    std::vector<std::unique_ptr<StmAlgorithm>> algos_;
+    StmAlgorithm *algo_ = nullptr;
+    /** Candidate index of a requested switch, -1 when none. */
+    int pending_ = -1;
+    /** Scratch for lockHeat's sum over candidates (logically const). */
+    mutable std::vector<u32> heat_sum_;
+    /** @} */
+
+    Tier lock_table_tier_ = Tier::Mram;
+    u32 lock_table_entries_ = 0;
+    size_t meta_bytes_wram_ = 0;
+    size_t meta_bytes_mram_ = 0;
+
+    /** Dynamic tasklet throttle (0 = off; see setTaskletLimit). */
+    unsigned tasklet_limit_ = 0;
+
+    /** Resolved WRAM hot-cache capacity in entries (0 = off). */
+    u32 hot_capacity_ = 0;
+
     /** Tasklet id currently holding the serial token, -1 when free. */
     int serial_owner_ = -1;
 
-    /** Transactions between txStart and commit/abort (quiesce count). */
+    /** Transactions between txStart and commit/abort — the quiesce
+     * count the serial token and a kind switch drain to zero. */
     unsigned active_txs_ = 0;
 
     /**
@@ -794,10 +703,6 @@ class Stm
                         u32 entries, u32 state);
     void durableFence(DpuContext &ctx);
     /** @} */
-
-  protected:
-    /** Must be invoked at the end of every concrete constructor. */
-    void finalizeLayout();
 };
 
 /**

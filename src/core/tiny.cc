@@ -7,10 +7,11 @@
 namespace pimstm::core
 {
 
-TinyStm::TinyStm(sim::Dpu &dpu, const StmConfig &cfg)
-    : Stm(dpu, cfg)
+TinyAlgorithm::TinyAlgorithm(Stm &stm, StmKind kind)
+    : StmAlgorithm(stm, kind, /*read_entry=*/16, /*write_entry=*/24,
+                   /*lock_entry=*/8)
 {
-    switch (cfg.kind) {
+    switch (kind) {
       case StmKind::TinyEtlWb:
         etl_ = true;
         wb_ = true;
@@ -31,24 +32,13 @@ TinyStm::TinyStm(sim::Dpu &dpu, const StmConfig &cfg)
         no_extend_ = true;
         break;
       default:
-        fatal("TinyStm constructed with non-Tiny kind");
+        fatal("TinyAlgorithm constructed with non-Tiny kind");
     }
-    finalizeLayout();
     table_.assign(lockTableEntries(), Orec{});
 }
 
-const char *
-TinyStm::name() const
-{
-    if (no_extend_)
-        return "TL2";
-    if (etl_)
-        return wb_ ? "Tiny ETLWB" : "Tiny ETLWT";
-    return "Tiny CTLWB";
-}
-
 u64
-TinyStm::incrementClock(DpuContext &ctx)
+TinyAlgorithm::incrementClock(DpuContext &ctx)
 {
     // fetch-and-increment emulated with the atomic register.
     ctx.acquire(kClockKey);
@@ -60,7 +50,7 @@ TinyStm::incrementClock(DpuContext &ctx)
 }
 
 void
-TinyStm::doStart(DpuContext &ctx, TxDescriptor &tx)
+TinyAlgorithm::doStart(DpuContext &ctx, TxDescriptor &tx)
 {
     metaRead(ctx, 8);
     tx.snapshot = clock_;
@@ -68,7 +58,7 @@ TinyStm::doStart(DpuContext &ctx, TxDescriptor &tx)
 }
 
 void
-TinyStm::validate(DpuContext &ctx, TxDescriptor &tx)
+TinyAlgorithm::validate(DpuContext &ctx, TxDescriptor &tx)
 {
     ++stats_.validations;
     traceValidate(ctx, tx.read_set.size());
@@ -85,7 +75,7 @@ TinyStm::validate(DpuContext &ctx, TxDescriptor &tx)
 }
 
 void
-TinyStm::extend(DpuContext &ctx, TxDescriptor &tx)
+TinyAlgorithm::extend(DpuContext &ctx, TxDescriptor &tx)
 {
     if (no_extend_) // TL2: the read window is fixed at start
         txAbort(ctx, tx, AbortReason::ValidationFail);
@@ -100,7 +90,7 @@ TinyStm::extend(DpuContext &ctx, TxDescriptor &tx)
 }
 
 u32
-TinyStm::doRead(DpuContext &ctx, TxDescriptor &tx, Addr a)
+TinyAlgorithm::doRead(DpuContext &ctx, TxDescriptor &tx, Addr a)
 {
     // CTL buffers writes without locking, so reads-after-writes must
     // scan the write set (one of CTL's costs the paper highlights).
@@ -169,7 +159,7 @@ TinyStm::doRead(DpuContext &ctx, TxDescriptor &tx, Addr a)
 }
 
 bool
-TinyStm::acquireOrec(DpuContext &ctx, TxDescriptor &tx, u32 index)
+TinyAlgorithm::acquireOrec(DpuContext &ctx, TxDescriptor &tx, u32 index)
 {
     unsigned poll = 0;
 retry:
@@ -209,47 +199,18 @@ retry:
 }
 
 void
-TinyStm::recordWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v,
-                     u32 index)
-{
-    scanCost(ctx, tx.write_set.size(), writeEntryBytes());
-    const int w = tx.findWrite(a);
-    if (w >= 0) {
-        tx.write_set[static_cast<size_t>(w)].value = v;
-        metaWrite(ctx, writeEntryBytes());
-        if (!wb_)
-            ctx.write32(a, v);
-        return;
-    }
-    WriteEntry e;
-    e.addr = a;
-    e.value = v;
-    e.lock_index = index;
-    if (!wb_) {
-        e.old_value = ctx.read32(a);
-        // Write-ahead rule (no-op unless durable): the undo entry is
-        // fenced before the in-place write below, with the ORec held.
-        durableWalBeforeWrite(ctx, tx, a, e.old_value);
-    }
-    tx.pushWrite(e);
-    metaWrite(ctx, writeEntryBytes());
-    if (!wb_)
-        ctx.write32(a, v);
-}
-
-void
-TinyStm::doWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v)
+TinyAlgorithm::doWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v)
 {
     const u32 index = lockIndexFor(a);
     if (etl_) {
         if (!acquireOrec(ctx, tx, index))
             txAbort(ctx, tx, AbortReason::WriteConflict, index, a);
     }
-    recordWrite(ctx, tx, a, v, index);
+    recordWrite(ctx, tx, a, v, index, /*in_place=*/!wb_);
 }
 
 void
-TinyStm::doCommit(DpuContext &ctx, TxDescriptor &tx)
+TinyAlgorithm::doCommit(DpuContext &ctx, TxDescriptor &tx)
 {
     if (tx.write_set.empty())
         return; // read-only: the snapshot window proves serializability
@@ -278,19 +239,12 @@ TinyStm::doCommit(DpuContext &ctx, TxDescriptor &tx)
         ctx.setPhase(prev_phase);
     }
 
-    if (wb_) {
-        // Durability point (no-op unless durable): redo image sealed
-        // after validation, with every written ORec held.
-        durableCommitPoint(ctx, tx);
-        scanCost(ctx, tx.write_set.size(), writeEntryBytes());
-        for (const auto &e : tx.write_set)
-            ctx.write32(e.addr, e.value);
-        durableAfterApply(ctx, tx);
-    } else {
-        // WT durability point: in-place writes flushed, undo retired,
-        // before any ORec is released.
-        durableCommitInPlace(ctx, tx);
-    }
+    // Validated, with every written ORec held: apply (WB) or make the
+    // in-place writes durable (WT) before any ORec is released.
+    if (wb_)
+        writeBackCommit(ctx, tx);
+    else
+        writeThroughCommit(ctx, tx);
 
     // Release with the commit timestamp.
     for (const auto &l : tx.locks) {
@@ -302,18 +256,12 @@ TinyStm::doCommit(DpuContext &ctx, TxDescriptor &tx)
 }
 
 void
-TinyStm::doAbortCleanup(DpuContext &ctx, TxDescriptor &tx)
+TinyAlgorithm::doAbortCleanup(DpuContext &ctx, TxDescriptor &tx)
 {
-    // Write-through: restore overwritten values, newest first.
-    if (!wb_) {
-        for (auto it = tx.write_set.rbegin(); it != tx.write_set.rend();
-             ++it) {
-            ctx.write32(it->addr, it->old_value);
-        }
-        // Flush the restores and retire the undo log while the ORecs
-        // are still held (no-op unless durable).
-        durableAbortTruncate(ctx, tx);
-    }
+    // Write-through: restore overwritten values while the ORecs are
+    // still held.
+    if (!wb_)
+        writeThroughUndo(ctx, tx);
     // Drop the lock bit; the version is untouched (it was never
     // advanced), so concurrent readers remain consistent.
     for (const auto &l : tx.locks) {
@@ -327,7 +275,7 @@ TinyStm::doAbortCleanup(DpuContext &ctx, TxDescriptor &tx)
 }
 
 unsigned
-TinyStm::heldOwnershipCount() const
+TinyAlgorithm::heldOwnershipCount() const
 {
     unsigned held = 0;
     for (const Orec &o : table_)
@@ -336,7 +284,7 @@ TinyStm::heldOwnershipCount() const
 }
 
 void
-TinyStm::dumpOwnership(std::ostream &os) const
+TinyAlgorithm::dumpOwnership(std::ostream &os) const
 {
     // Cap the listing: the table can have 64K entries, the dump is for
     // humans.

@@ -22,17 +22,16 @@
 
 #include <vector>
 
-#include "core/stm.hh"
+#include "core/algorithm.hh"
 
 namespace pimstm::core
 {
 
-class TinyStm : public Stm
+class TinyAlgorithm : public StmAlgorithm
 {
   public:
-    TinyStm(sim::Dpu &dpu, const StmConfig &cfg);
-
-    const char *name() const override;
+    /** @p kind is one of the Tiny kinds or TL2. */
+    TinyAlgorithm(Stm &stm, StmKind kind);
 
     bool encounterTimeLocking() const { return etl_; }
     bool writeBack() const { return wb_; }
@@ -57,12 +56,6 @@ class TinyStm : public Stm
     void doWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v) override;
     void doCommit(DpuContext &ctx, TxDescriptor &tx) override;
     void doAbortCleanup(DpuContext &ctx, TxDescriptor &tx) override;
-
-    size_t readEntryBytes() const override { return 16; }
-    size_t writeEntryBytes() const override { return 24; }
-    size_t lockTableEntryBytes() const override { return 8; }
-
-    bool writesInPlace() const override { return !wb_; }
 
     /** Drop every stale lock bit after a crash; versions are kept (a
      * crashed owner never advanced them, exactly like an abort). */
@@ -100,10 +93,6 @@ class TinyStm : public Stm
     /** Acquire the ORec at @p index for @p tx; true on success, false
      * when held by another transaction. Registers the lock in tx. */
     bool acquireOrec(DpuContext &ctx, TxDescriptor &tx, u32 index);
-
-    /** Buffer (WB) or apply (WT) a write after locking is settled. */
-    void recordWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v,
-                     u32 index);
 
     /** Atomic-register key for the global clock. */
     static constexpr u32 kClockKey = 0xc10cc10cu;

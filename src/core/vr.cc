@@ -8,10 +8,11 @@
 namespace pimstm::core
 {
 
-VrStm::VrStm(sim::Dpu &dpu, const StmConfig &cfg)
-    : Stm(dpu, cfg)
+VrAlgorithm::VrAlgorithm(Stm &stm, StmKind kind)
+    : StmAlgorithm(stm, kind, /*read_entry=*/8, /*write_entry=*/16,
+                   /*lock_entry=*/4)
 {
-    switch (cfg.kind) {
+    switch (kind) {
       case StmKind::VrEtlWb:
         etl_ = true;
         wb_ = true;
@@ -25,28 +26,19 @@ VrStm::VrStm(sim::Dpu &dpu, const StmConfig &cfg)
         wb_ = true;
         break;
       default:
-        fatal("VrStm constructed with non-VR kind");
+        fatal("VrAlgorithm constructed with non-VR kind");
     }
-    finalizeLayout();
     table_.assign(lockTableEntries(), rwlock::Free);
 }
 
-const char *
-VrStm::name() const
-{
-    if (etl_)
-        return wb_ ? "VR ETLWB" : "VR ETLWT";
-    return "VR CTLWB";
-}
-
 void
-VrStm::doStart(DpuContext &, TxDescriptor &)
+VrAlgorithm::doStart(DpuContext &, TxDescriptor &)
 {
     // No snapshot, no clock: visible reads need no start bookkeeping.
 }
 
 void
-VrStm::readLock(DpuContext &ctx, TxDescriptor &tx, u32 index, Addr a)
+VrAlgorithm::readLock(DpuContext &ctx, TxDescriptor &tx, u32 index, Addr a)
 {
     const unsigned me = tx.tasklet();
     unsigned poll = 0;
@@ -82,7 +74,7 @@ retry:
 }
 
 void
-VrStm::writeLock(DpuContext &ctx, TxDescriptor &tx, u32 index,
+VrAlgorithm::writeLock(DpuContext &ctx, TxDescriptor &tx, u32 index,
                  bool at_commit, Addr a)
 {
     const unsigned me = tx.tasklet();
@@ -141,7 +133,7 @@ retry:
 }
 
 void
-VrStm::releaseAll(DpuContext &ctx, TxDescriptor &tx)
+VrAlgorithm::releaseAll(DpuContext &ctx, TxDescriptor &tx)
 {
     const unsigned me = tx.tasklet();
     for (const auto &l : tx.locks) {
@@ -164,7 +156,7 @@ VrStm::releaseAll(DpuContext &ctx, TxDescriptor &tx)
 }
 
 u32
-VrStm::doRead(DpuContext &ctx, TxDescriptor &tx, Addr a)
+VrAlgorithm::doRead(DpuContext &ctx, TxDescriptor &tx, Addr a)
 {
     const u32 index = lockIndexFor(a);
     readLock(ctx, tx, index, a);
@@ -193,46 +185,16 @@ VrStm::doRead(DpuContext &ctx, TxDescriptor &tx, Addr a)
 }
 
 void
-VrStm::recordWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v,
-                   u32 index)
-{
-    scanCost(ctx, tx.write_set.size(), writeEntryBytes());
-    const int i = tx.findWrite(a);
-    if (i >= 0) {
-        tx.write_set[static_cast<size_t>(i)].value = v;
-        metaWrite(ctx, writeEntryBytes());
-        if (!wb_)
-            ctx.write32(a, v);
-        return;
-    }
-    WriteEntry e;
-    e.addr = a;
-    e.value = v;
-    e.lock_index = index;
-    if (!wb_) {
-        e.old_value = ctx.read32(a);
-        // Write-ahead rule (no-op unless durable): the undo entry is
-        // fenced before the in-place write below, with the write lock
-        // held.
-        durableWalBeforeWrite(ctx, tx, a, e.old_value);
-    }
-    tx.pushWrite(e);
-    metaWrite(ctx, writeEntryBytes());
-    if (!wb_)
-        ctx.write32(a, v);
-}
-
-void
-VrStm::doWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v)
+VrAlgorithm::doWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v)
 {
     const u32 index = lockIndexFor(a);
     if (etl_)
         writeLock(ctx, tx, index, false, a);
-    recordWrite(ctx, tx, a, v, index);
+    recordWrite(ctx, tx, a, v, index, /*in_place=*/!wb_);
 }
 
 void
-VrStm::doCommit(DpuContext &ctx, TxDescriptor &tx)
+VrAlgorithm::doCommit(DpuContext &ctx, TxDescriptor &tx)
 {
     if (!etl_) {
         // Commit-time locking: upgrade/acquire write locks for the
@@ -240,39 +202,28 @@ VrStm::doCommit(DpuContext &ctx, TxDescriptor &tx)
         for (const auto &e : tx.write_set)
             writeLock(ctx, tx, e.lock_index, true, e.addr);
     }
-    if (wb_ && !tx.write_set.empty()) {
-        // Durability point (no-op unless durable): every write lock is
-        // held, visible reads need no validation.
-        durableCommitPoint(ctx, tx);
-        scanCost(ctx, tx.write_set.size(), writeEntryBytes());
-        for (const auto &e : tx.write_set)
-            ctx.write32(e.addr, e.value);
-        durableAfterApply(ctx, tx);
-    } else if (!wb_) {
-        // WT durability point: in-place writes flushed, undo retired,
-        // before any rw-lock is released.
-        durableCommitInPlace(ctx, tx);
-    }
+    // Every write lock is held and visible reads need no validation:
+    // apply (WB) or make the in-place writes durable (WT) before any
+    // rw-lock is released.
+    if (wb_)
+        writeBackCommit(ctx, tx);
+    else
+        writeThroughCommit(ctx, tx);
     releaseAll(ctx, tx);
 }
 
 void
-VrStm::doAbortCleanup(DpuContext &ctx, TxDescriptor &tx)
+VrAlgorithm::doAbortCleanup(DpuContext &ctx, TxDescriptor &tx)
 {
-    if (!wb_) {
-        for (auto it = tx.write_set.rbegin(); it != tx.write_set.rend();
-             ++it) {
-            ctx.write32(it->addr, it->old_value);
-        }
-        // Flush the restores and retire the undo log while the write
-        // locks are still held (no-op unless durable).
-        durableAbortTruncate(ctx, tx);
-    }
+    // Write-through: restore overwritten values while the write locks
+    // are still held.
+    if (!wb_)
+        writeThroughUndo(ctx, tx);
     releaseAll(ctx, tx);
 }
 
 unsigned
-VrStm::heldOwnershipCount() const
+VrAlgorithm::heldOwnershipCount() const
 {
     unsigned held = 0;
     for (u32 w : table_)
@@ -281,7 +232,7 @@ VrStm::heldOwnershipCount() const
 }
 
 void
-VrStm::dumpOwnership(std::ostream &os) const
+VrAlgorithm::dumpOwnership(std::ostream &os) const
 {
     unsigned listed = 0;
     for (u32 i = 0; i < table_.size() && listed < 16; ++i) {

@@ -22,17 +22,16 @@
 
 #include <vector>
 
-#include "core/stm.hh"
+#include "core/algorithm.hh"
 
 namespace pimstm::core
 {
 
-class VrStm : public Stm
+class VrAlgorithm : public StmAlgorithm
 {
   public:
-    VrStm(sim::Dpu &dpu, const StmConfig &cfg);
-
-    const char *name() const override;
+    /** @p kind is one of the VR kinds. */
+    VrAlgorithm(Stm &stm, StmKind kind);
 
     bool encounterTimeLocking() const { return etl_; }
     bool writeBack() const { return wb_; }
@@ -51,12 +50,6 @@ class VrStm : public Stm
     void doWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v) override;
     void doCommit(DpuContext &ctx, TxDescriptor &tx) override;
     void doAbortCleanup(DpuContext &ctx, TxDescriptor &tx) override;
-
-    size_t readEntryBytes() const override { return 8; }
-    size_t writeEntryBytes() const override { return 16; }
-    size_t lockTableEntryBytes() const override { return 4; }
-
-    bool writesInPlace() const override { return !wb_; }
 
     /** Free every stale rw-lock word after a crash. */
     void
@@ -86,10 +79,6 @@ class VrStm : public Stm
 
     /** Release every lock @p tx holds. */
     void releaseAll(DpuContext &ctx, TxDescriptor &tx);
-
-    /** Buffer (WB) or apply (WT) a write. */
-    void recordWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v,
-                     u32 index);
 
     bool etl_;
     bool wb_;

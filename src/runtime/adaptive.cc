@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "core/switchable.hh"
 #include "util/logging.hh"
 
 namespace pimstm::runtime
@@ -363,8 +362,7 @@ AdaptiveController::decide(ControllerState &st, const EpochSample &s,
         decideThrottle(st, s, spec, out);
     if (spec.tune_backoff)
         decideBackoff(st, s, spec, out);
-    if (spec.tune_kind)
-        decideKind(st, s, spec, out);
+    decideKind(st, s, spec, out);
     return out;
 }
 
@@ -427,13 +425,9 @@ AdaptiveController::AdaptiveController(core::Stm &stm, sim::Dpu &dpu,
     : stm_(stm), dpu_(dpu), spec_(spec),
       report_(std::make_shared<AdaptiveReport>())
 {
-    // Normalize the candidate list: the running kind always leads.
-    std::vector<core::StmKind> cands{stm.kind()};
-    for (core::StmKind k : spec.kind_candidates) {
-        if (std::find(cands.begin(), cands.end(), k) == cands.end())
-            cands.push_back(k);
-    }
-    spec_.kind_candidates = std::move(cands);
+    // The STM's candidate list, running kind first, is what a switch
+    // request can reach.
+    spec_.kind_candidates = stm.candidates();
 
     const core::StmConfig &cfg = stm.config();
     state_.num_tasklets = cfg.num_tasklets;
@@ -482,10 +476,8 @@ AdaptiveController::apply(const AdaptiveDecision &d)
         break;
       }
       case AdaptiveAction::SwitchKind:
-        if (auto *sw = dynamic_cast<core::SwitchableStm *>(&stm_)) {
-            sw->requestKindSwitch(
-                static_cast<core::StmKind>(static_cast<int>(d.value)));
-        }
+        stm_.requestKindSwitch(
+            static_cast<core::StmKind>(static_cast<int>(d.value)));
         break;
       default:
         break;
@@ -495,7 +487,7 @@ AdaptiveController::apply(const AdaptiveDecision &d)
 void
 AdaptiveController::onEpoch()
 {
-    const core::StmStats &agg = stm_.aggregateStats();
+    const core::StmStats &agg = stm_.stats();
 
     EpochSample s;
     s.commits = agg.commits - last_stats_.commits;
@@ -509,7 +501,7 @@ AdaptiveController::onEpoch()
     s.backoff_cycles = agg.backoff_cycles - last_stats_.backoff_cycles;
     s.park_polls = agg.park_polls - last_stats_.park_polls;
     s.epoch_cycles = dpu_.now() - last_cycle_;
-    last_stats_ = agg; // copy: agg may reference merge scratch
+    last_stats_ = agg;
     last_cycle_ = dpu_.now();
 
     ++report_->epochs;
@@ -517,7 +509,7 @@ AdaptiveController::onEpoch()
     // Hot-lock migration works on per-entry heat deltas, outside the
     // pure policy (the heat vector can be large; everything else is a
     // fixed-size sample).
-    if (spec_.tune_migration && stm_.hotLockCapacity() != 0) {
+    if (stm_.hotLockCapacity() != 0) {
         const std::vector<u32> &heat = stm_.lockHeat();
         std::vector<u32> delta(heat.size(), 0);
         for (size_t i = 0; i < heat.size(); ++i) {

@@ -1,6 +1,5 @@
 #include "runtime/driver.hh"
 
-#include "core/switchable.hh"
 #include "runtime/adaptive.hh"
 #include "runtime/dpu_pool.hh"
 #include "util/host_alloc.hh"
@@ -77,23 +76,20 @@ runWorkload(Workload &workload, const RunSpec &spec)
         dpu.setTraceSink(trace_buf.get());
     }
 
-    // Online adaptation (docs/adaptive.md): kind switching needs the
-    // SwitchableStm router; hot-lock migration needs a heat vector and
-    // a WRAM cache. Both change simulated layout/charging, so they are
+    // Online adaptation (docs/adaptive.md): kind candidates and the
+    // hot-lock WRAM cache change simulated layout/charging, so they are
     // gated on the controller actually being enabled — controller-off
-    // stays on the plain makeStm path, bitwise identical (CI-gated).
+    // builds the single-kind STM, bitwise identical (CI-gated).
     const bool adaptive_on = spec.adaptive.enabled;
-    const bool switchable = adaptive_on && spec.adaptive.tune_kind &&
-        !spec.adaptive.kind_candidates.empty();
-    if (adaptive_on && spec.adaptive.tune_migration)
+    if (adaptive_on)
         stm_cfg.hot_lock_capacity = spec.adaptive.hot_lock_capacity;
 
     // May throw FatalError when the placement is infeasible — that is
     // the paper's "cannot run with WRAM metadata" case.
-    auto stm = switchable
-        ? core::makeSwitchableStm(dpu, stm_cfg,
-                                  spec.adaptive.kind_candidates)
-        : core::makeStm(dpu, stm_cfg);
+    auto stm = core::makeStm(
+        dpu, stm_cfg,
+        adaptive_on ? spec.adaptive.kind_candidates
+                    : std::vector<core::StmKind>{});
 
     workload.setup(dpu, *stm);
 
@@ -152,7 +148,7 @@ runWorkload(Workload &workload, const RunSpec &spec)
     workload.verify(dpu, *stm);
 
     RunResult r;
-    r.stm = stm->aggregateStats();
+    r.stm = stm->stats();
     if (controller)
         r.adaptive = controller->report();
     r.dpu = dpu.stats();

@@ -73,15 +73,15 @@ struct AdaptiveSpec
     /** Controller sampling period in simulated cycles. */
     Cycles epoch_cycles = 100000;
 
-    /** @{ Per-knob enables (all on once enabled, for ablations). */
+    /** @{ Per-knob enables (all on once enabled, for ablations).
+     * Hot-lock migration is off when hot_lock_capacity is 0, and kind
+     * switching when kind_candidates holds fewer than two kinds. */
     bool tune_backoff = true;
     bool tune_throttle = true;
-    bool tune_migration = true;
-    bool tune_kind = true;
     /** @} */
 
-    /** Kind-switch candidates (empty = no kind switching even when
-     * tune_kind; RunSpec::kind is always implicitly a candidate). */
+    /** Kind-switch candidates (RunSpec::kind is always implicitly one;
+     * switching is on with two or more). */
     std::vector<core::StmKind> kind_candidates;
 
     /** Consecutive epochs a signal must persist before acting

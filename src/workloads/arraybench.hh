@@ -112,9 +112,7 @@ class ArrayBench : public runtime::Workload
         u64 sum = 0;
         for (u32 i = 0; i < params_.totalWords(); ++i)
             sum += array_.peek(dpu, i);
-        // aggregateStats: under the SwitchableStm router the commits
-        // live in the inner STMs (docs/adaptive.md).
-        const u64 expected = stm.aggregateStats().commits *
+        const u64 expected = stm.stats().commits *
             static_cast<u64>(params_.rmw_ops);
         fatalIf(sum != expected, "ArrayBench invariant broken: sum ", sum,
                 " != commits*rmw ", expected);

@@ -70,8 +70,7 @@ throttleOnlySpec()
     AdaptiveSpec spec;
     spec.enabled = true;
     spec.tune_backoff = false;
-    spec.tune_kind = false;
-    spec.tune_migration = false;
+    spec.hot_lock_capacity = 0;
     return spec;
 }
 
@@ -81,8 +80,7 @@ backoffOnlySpec()
     AdaptiveSpec spec;
     spec.enabled = true;
     spec.tune_throttle = false;
-    spec.tune_kind = false;
-    spec.tune_migration = false;
+    spec.hot_lock_capacity = 0;
     return spec;
 }
 
@@ -288,7 +286,7 @@ TEST(AdaptiveDecide, KindExploreThenCommitThenReexplore)
     spec.enabled = true;
     spec.tune_throttle = false;
     spec.tune_backoff = false;
-    spec.tune_migration = false;
+    spec.hot_lock_capacity = 0;
     spec.kind_candidates = {core::StmKind::NOrec,
                             core::StmKind::TinyEtlWb};
     ControllerState st = stateFor(16);
@@ -419,8 +417,7 @@ TEST(AdaptivePark, ThrottleConservesTransactions)
     RunSpec spec = benchSpec(core::StmKind::TinyEtlWb, 16);
     spec.adaptive.enabled = true;
     spec.adaptive.epoch_cycles = 20000;
-    spec.adaptive.tune_kind = false;
-    spec.adaptive.tune_migration = false;
+    spec.adaptive.hot_lock_capacity = 0;
 
     const RunResult r = runB(spec, 40);
     EXPECT_EQ(r.stm.commits, 16u * 40u);

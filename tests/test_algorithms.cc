@@ -49,6 +49,14 @@ reason(const StmStats &s, AbortReason r)
     return s.abort_reasons[static_cast<size_t>(r)];
 }
 
+/** The algorithm @p stm runs, as its concrete type. */
+template <class Algorithm>
+Algorithm &
+algo(Stm &stm)
+{
+    return dynamic_cast<Algorithm &>(stm.algorithm());
+}
+
 } // namespace
 
 //
@@ -58,7 +66,7 @@ reason(const StmStats &s, AbortReason r)
 TEST(NOrecTest, SeqlockAdvancesByTwoPerUpdateCommit)
 {
     Dpu dpu(smallDpu(), TimingConfig{});
-    NOrecStm stm(dpu, cfgFor(StmKind::NOrec, 1));
+    Stm stm(dpu, cfgFor(StmKind::NOrec, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
 
     dpu.addTasklet([&](DpuContext &ctx) {
@@ -69,13 +77,13 @@ TEST(NOrecTest, SeqlockAdvancesByTwoPerUpdateCommit)
         }
     });
     dpu.run();
-    EXPECT_EQ(stm.seqlock(), 10u);
+    EXPECT_EQ(algo<NOrecAlgorithm>(stm).seqlock(), 10u);
 }
 
 TEST(NOrecTest, ReadOnlyCommitDoesNotTouchSeqlock)
 {
     Dpu dpu(smallDpu(), TimingConfig{});
-    NOrecStm stm(dpu, cfgFor(StmKind::NOrec, 1));
+    Stm stm(dpu, cfgFor(StmKind::NOrec, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
 
     dpu.addTasklet([&](DpuContext &ctx) {
@@ -86,7 +94,7 @@ TEST(NOrecTest, ReadOnlyCommitDoesNotTouchSeqlock)
         }
     });
     dpu.run();
-    EXPECT_EQ(stm.seqlock(), 0u);
+    EXPECT_EQ(algo<NOrecAlgorithm>(stm).seqlock(), 0u);
     EXPECT_EQ(stm.stats().read_only_commits, 5u);
 }
 
@@ -95,7 +103,7 @@ TEST(NOrecTest, ConflictingWriterTriggersValueValidation)
     // Two tasklets increment the same word; the loser of the commit
     // race must revalidate and, with changed values, abort.
     Dpu dpu(smallDpu(), TimingConfig{});
-    NOrecStm stm(dpu, cfgFor(StmKind::NOrec, 2));
+    Stm stm(dpu, cfgFor(StmKind::NOrec, 2));
     SharedArray32 arr(dpu, Tier::Mram, 1);
     arr.fill(dpu, 0);
 
@@ -118,7 +126,7 @@ TEST(NOrecTest, SilentStoreSurvivesValidation)
     // value back must NOT abort the reader (the classic NOrec
     // advantage over version-based validation).
     Dpu dpu(smallDpu(), TimingConfig{});
-    NOrecStm stm(dpu, cfgFor(StmKind::NOrec, 2));
+    Stm stm(dpu, cfgFor(StmKind::NOrec, 2));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.fill(dpu, 7);
 
@@ -150,7 +158,7 @@ TEST(NOrecTest, SilentStoreSurvivesValidation)
 TEST(TinyTest, ClockAdvancesPerUpdateCommit)
 {
     Dpu dpu(smallDpu(), TimingConfig{});
-    TinyStm stm(dpu, cfgFor(StmKind::TinyEtlWb, 1));
+    Stm stm(dpu, cfgFor(StmKind::TinyEtlWb, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
 
     dpu.addTasklet([&](DpuContext &ctx) {
@@ -163,13 +171,14 @@ TEST(TinyTest, ClockAdvancesPerUpdateCommit)
                    [&](TxHandle &tx) { tx.read(arr.at(0)); });
     });
     dpu.run();
-    EXPECT_EQ(stm.clock(), 4u); // read-only commit does not bump
+    // The read-only commit does not bump the clock.
+    EXPECT_EQ(algo<TinyAlgorithm>(stm).clock(), 4u);
 }
 
 TEST(TinyTest, CommittedOrecCarriesCommitTimestamp)
 {
     Dpu dpu(smallDpu(), TimingConfig{});
-    TinyStm stm(dpu, cfgFor(StmKind::TinyEtlWb, 1));
+    Stm stm(dpu, cfgFor(StmKind::TinyEtlWb, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
 
     dpu.addTasklet([&](DpuContext &ctx) {
@@ -182,8 +191,8 @@ TEST(TinyTest, CommittedOrecCarriesCommitTimestamp)
     // arr[2] must hold version 1.
     bool saw_v1 = false;
     for (u32 i = 0; i < stm.lockTableEntries(); ++i) {
-        EXPECT_FALSE(stm.orecLocked(i));
-        if (stm.orecVersion(i) == 1)
+        EXPECT_FALSE(algo<TinyAlgorithm>(stm).orecLocked(i));
+        if (algo<TinyAlgorithm>(stm).orecVersion(i) == 1)
             saw_v1 = true;
     }
     EXPECT_TRUE(saw_v1);
@@ -194,7 +203,7 @@ TEST(TinyTest, AbortLeavesVersionUntouched)
     // An aborting writer must release its ORec with the OLD version so
     // concurrent readers stay consistent.
     Dpu dpu(smallDpu(), TimingConfig{});
-    TinyStm stm(dpu, cfgFor(StmKind::TinyEtlWt, 1));
+    Stm stm(dpu, cfgFor(StmKind::TinyEtlWt, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.fill(dpu, 5);
 
@@ -211,15 +220,15 @@ TEST(TinyTest, AbortLeavesVersionUntouched)
     EXPECT_EQ(arr.peek(dpu, 1), 50u);
     // One commit happened -> max version is 1, and nothing is locked.
     for (u32 i = 0; i < stm.lockTableEntries(); ++i) {
-        EXPECT_FALSE(stm.orecLocked(i));
-        EXPECT_LE(stm.orecVersion(i), 1u);
+        EXPECT_FALSE(algo<TinyAlgorithm>(stm).orecLocked(i));
+        EXPECT_LE(algo<TinyAlgorithm>(stm).orecVersion(i), 1u);
     }
 }
 
 TEST(TinyTest, WriteThroughUndoRestoresExactBytes)
 {
     Dpu dpu(smallDpu(), TimingConfig{});
-    TinyStm stm(dpu, cfgFor(StmKind::TinyEtlWt, 1));
+    Stm stm(dpu, cfgFor(StmKind::TinyEtlWt, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.poke(dpu, 0, 0xdeadbeef);
     arr.poke(dpu, 1, 0x12345678);
@@ -250,7 +259,7 @@ TEST(TinyTest, SnapshotExtensionSparesAborts)
     // (validating its read set) instead of aborting, when its reads
     // are untouched — Tiny's core advantage over TL2.
     Dpu dpu(smallDpu(), TimingConfig{});
-    TinyStm stm(dpu, cfgFor(StmKind::TinyEtlWb, 2));
+    Stm stm(dpu, cfgFor(StmKind::TinyEtlWb, 2));
     SharedArray32 arr(dpu, Tier::Mram, 16);
     arr.fill(dpu, 0);
 
@@ -284,7 +293,7 @@ TEST(TinyTest, CtlDefersLocksUntilCommit)
     // With CTL, a second tasklet can read a location another tx has
     // pending-written, because no lock is taken until commit.
     Dpu dpu(smallDpu(), TimingConfig{});
-    TinyStm stm(dpu, cfgFor(StmKind::TinyCtlWb, 2));
+    Stm stm(dpu, cfgFor(StmKind::TinyCtlWb, 2));
     SharedArray32 arr(dpu, Tier::Mram, 8);
     arr.fill(dpu, 3);
 
@@ -317,7 +326,7 @@ TEST(TinyTest, CtlDefersLocksUntilCommit)
 TEST(VrTest, LockTableEndsFree)
 {
     Dpu dpu(smallDpu(), TimingConfig{});
-    VrStm stm(dpu, cfgFor(StmKind::VrEtlWb, 4));
+    Stm stm(dpu, cfgFor(StmKind::VrEtlWb, 4));
     SharedArray32 arr(dpu, Tier::Mram, 32);
     arr.fill(dpu, 0);
 
@@ -331,7 +340,7 @@ TEST(VrTest, LockTableEndsFree)
     });
     dpu.run();
     for (u32 i = 0; i < stm.lockTableEntries(); ++i)
-        EXPECT_EQ(stm.lockWord(i), rwlock::Free);
+        EXPECT_EQ(algo<VrAlgorithm>(stm).lockWord(i), rwlock::Free);
 }
 
 TEST(VrTest, UpgradeConflictAbortsAndIsAttributed)
@@ -340,7 +349,7 @@ TEST(VrTest, UpgradeConflictAbortsAndIsAttributed)
     // one upgrade must fail with UpgradeConflict (the paper's VR
     // spurious-abort mechanism).
     Dpu dpu(smallDpu(), TimingConfig{});
-    VrStm stm(dpu, cfgFor(StmKind::VrEtlWb, 2));
+    Stm stm(dpu, cfgFor(StmKind::VrEtlWb, 2));
     SharedArray32 arr(dpu, Tier::Mram, 1);
     arr.fill(dpu, 0);
 
@@ -363,7 +372,7 @@ TEST(VrTest, UpgradeConflictAbortsAndIsAttributed)
 TEST(VrTest, ReadersDoNotConflictWithReaders)
 {
     Dpu dpu(smallDpu(), TimingConfig{});
-    VrStm stm(dpu, cfgFor(StmKind::VrEtlWb, 8));
+    Stm stm(dpu, cfgFor(StmKind::VrEtlWb, 8));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.fill(dpu, 9);
 
@@ -385,7 +394,7 @@ TEST(VrTest, WriterBlocksReadersUntilCommit)
     // ETL: while a writer holds a write lock, a reader of the same
     // word aborts with ReadConflict (visible conflict, no validation).
     Dpu dpu(smallDpu(), TimingConfig{});
-    VrStm stm(dpu, cfgFor(StmKind::VrEtlWt, 2));
+    Stm stm(dpu, cfgFor(StmKind::VrEtlWt, 2));
     SharedArray32 arr(dpu, Tier::Mram, 1);
     arr.fill(dpu, 0);
 
@@ -408,7 +417,7 @@ TEST(VrTest, WriterBlocksReadersUntilCommit)
 TEST(VrTest, CtlUpgradesAtCommit)
 {
     Dpu dpu(smallDpu(), TimingConfig{});
-    VrStm stm(dpu, cfgFor(StmKind::VrCtlWb, 1));
+    Stm stm(dpu, cfgFor(StmKind::VrCtlWb, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.fill(dpu, 10);
 
@@ -421,7 +430,7 @@ TEST(VrTest, CtlUpgradesAtCommit)
     dpu.run();
     EXPECT_EQ(arr.peek(dpu, 0), 15u);
     EXPECT_EQ(stm.stats().aborts, 0u);
-    EXPECT_EQ(stm.lockWord(0) & 3u, 0u);
+    EXPECT_EQ(algo<VrAlgorithm>(stm).lockWord(0) & 3u, 0u);
 }
 
 //
@@ -432,7 +441,8 @@ TEST(AlgorithmNames, MatchKinds)
 {
     Dpu dpu(smallDpu(), TimingConfig{});
     {
-        TinyStm s(dpu, cfgFor(StmKind::TinyEtlWb, 1));
+        Stm stm(dpu, cfgFor(StmKind::TinyEtlWb, 1));
+        const TinyAlgorithm &s = algo<TinyAlgorithm>(stm);
         EXPECT_STREQ(s.name(), "Tiny ETLWB");
         EXPECT_TRUE(s.encounterTimeLocking());
         EXPECT_TRUE(s.writeBack());
@@ -440,13 +450,15 @@ TEST(AlgorithmNames, MatchKinds)
     dpu.resetRun();
     {
         Dpu d2(smallDpu(), TimingConfig{});
-        TinyStm s(d2, cfgFor(StmKind::TinyCtlWb, 1));
+        Stm stm(d2, cfgFor(StmKind::TinyCtlWb, 1));
+        const TinyAlgorithm &s = algo<TinyAlgorithm>(stm);
         EXPECT_STREQ(s.name(), "Tiny CTLWB");
         EXPECT_FALSE(s.encounterTimeLocking());
     }
     {
         Dpu d3(smallDpu(), TimingConfig{});
-        VrStm s(d3, cfgFor(StmKind::VrEtlWt, 1));
+        Stm stm(d3, cfgFor(StmKind::VrEtlWt, 1));
+        const VrAlgorithm &s = algo<VrAlgorithm>(stm);
         EXPECT_STREQ(s.name(), "VR ETLWT");
         EXPECT_FALSE(s.writeBack());
     }

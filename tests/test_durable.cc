@@ -131,7 +131,7 @@ runTransfersWithRecovery(StmKind kind, const FaultPlan &plan,
     EXPECT_EQ(sum, static_cast<u64>(kAccounts) * kInitial)
         << stmKindName(kind) << ": total balance not conserved";
 
-    out.stm = stm->aggregateStats();
+    out.stm = stm->stats();
     return out;
 }
 
@@ -372,13 +372,13 @@ TEST(DurableConfig, ExclusionsAreRefused)
         EXPECT_THROW(makeStm(dpu, cfg), FatalError);
     }
     {
-        StmConfig cfg = base;
-        cfg.external_layout = true;
-        EXPECT_THROW(makeStm(dpu, cfg), FatalError);
+        // Two candidates: a live kind switch would change the log
+        // format recovery has to read.
+        EXPECT_THROW(makeStm(dpu, base, {StmKind::TinyEtlWb}), FatalError);
     }
     {
-        // Driver-level: the adaptive controller swaps kinds through the
-        // external-layout wrapper, so durable runs refuse it up front.
+        // Driver-level: the adaptive controller re-plans layout and can
+        // switch kinds, so durable runs refuse it up front.
         runtime::RunSpec spec;
         spec.kind = StmKind::NOrec;
         spec.tasklets = 2;

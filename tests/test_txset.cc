@@ -18,7 +18,7 @@
 #include <random>
 #include <vector>
 
-#include "core/norec.hh"
+#include "core/algorithm.hh"
 #include "core/stm_factory.hh"
 #include "cpu/norec_cpu.hh"
 #include "runtime/dpu_pool.hh"
@@ -300,21 +300,8 @@ TEST(MemoryLazy, CanAllocValidatesAlignmentLikeAlloc)
 }
 
 //
-// StmAssert — misuse assertions in the STM base class.
+// StmAssert — misuse assertions in the STM algorithm base class.
 //
-
-namespace
-{
-
-/** Exposes the protected lock-table mapping for the misuse test. */
-class LockIndexProbe : public NOrecStm
-{
-  public:
-    using NOrecStm::NOrecStm;
-    using NOrecStm::lockIndexFor;
-};
-
-} // namespace
 
 TEST(StmAssert, LockIndexWithoutLockTablePanics)
 {
@@ -324,9 +311,9 @@ TEST(StmAssert, LockIndexWithoutLockTablePanics)
     cfg.num_tasklets = 1;
     cfg.max_read_set = 8;
     cfg.max_write_set = 8;
-    LockIndexProbe stm(dpu, cfg);
+    Stm stm(dpu, cfg);
     ASSERT_EQ(stm.lockTableEntries(), 0u);
-    EXPECT_THROW(stm.lockIndexFor(64), PanicError);
+    EXPECT_THROW(stm.algorithm().lockIndexFor(64), PanicError);
 }
 
 //
