@@ -611,9 +611,11 @@ struct BenchOptions
                 o.full = false;
             else if (a == "--csv")
                 o.csv = true;
-            else if (a.rfind("--seeds=", 0) == 0)
+            else if (a.rfind("--seeds=", 0) == 0) {
                 o.seeds = parseUnsigned(argv[0], a, "--seeds=");
-            else if (a.rfind("--jobs=", 0) == 0) {
+                if (o.seeds == 0)
+                    usageError(argv[0], a, "must be at least 1");
+            } else if (a.rfind("--jobs=", 0) == 0) {
                 o.jobs = parseUnsigned(argv[0], a, "--jobs=");
                 if (o.jobs == 0)
                     usageError(argv[0], a, "must be at least 1");
@@ -674,8 +676,6 @@ struct BenchOptions
             } else
                 usageError(argv[0], a, "unknown option");
         }
-        if (o.seeds == 0)
-            o.seeds = 1;
         util::ThreadPool::setGlobalJobs(o.jobs);
         if (!o.perf_json.empty()) {
             std::string prog = argv && argv[0] ? argv[0] : "bench";
