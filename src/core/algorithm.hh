@@ -31,7 +31,6 @@ class StmAlgorithm
     StmAlgorithm(const StmAlgorithm &) = delete;
     StmAlgorithm &operator=(const StmAlgorithm &) = delete;
 
-    StmKind kind() const { return kind_; }
     const char *name() const { return stmKindName(kind_); }
 
     /**

@@ -541,7 +541,7 @@ class Stm final
      * that places the durable commit protocol (docs/durability.md)
      * around in-place writes. Each durable step is a single never-taken
      * compare when StmConfig::durable is off. @p entry_bytes is the
-     * calling algorithm's write-entry size (scan and append costs).
+     * calling algorithm's write-entry size (set scans, entry writes).
      *
      * recordWrite buffers a write in the write set, or for write-through
      * (@p in_place) also applies it after saving the old value; under

@@ -75,7 +75,7 @@ retry:
 
 void
 VrAlgorithm::writeLock(DpuContext &ctx, TxDescriptor &tx, u32 index,
-                 bool at_commit, Addr a)
+                       bool at_commit, Addr a)
 {
     const unsigned me = tx.tasklet();
     unsigned poll = 0;
