@@ -248,7 +248,7 @@ Stm::Stm(sim::Dpu &dpu, const StmConfig &cfg,
             kinds_.push_back(k);
     }
     // Escalation and kind switching each quiesce the DPU in txStart;
-    // their composition is untested, so it stays refused.
+    // no test covers the two drains interleaving, so it is refused.
     fatalIf(kinds_.size() > 1 && cfg.serial_fallback_after != 0,
             "live kind switching is incompatible with the "
             "serial-irrevocable fallback");

@@ -263,7 +263,8 @@ class AdaptiveController
     /**
      * The pure policy: consume one sample, mutate @p st, return the
      * actions to apply. @p spec.kind_candidates must already contain
-     * st.current_kind (the constructor normalizes its copy).
+     * st.current_kind (the constructor copies the STM's list, which
+     * leads with the running kind).
      */
     static std::vector<AdaptiveDecision> decide(ControllerState &st,
                                                 const EpochSample &s,

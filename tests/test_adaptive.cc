@@ -461,9 +461,9 @@ TEST(AdaptiveSwitch, SerializableUnderRandomizedFaults)
     EXPECT_GT(switches, 0u) << "the explore phase alone must switch";
 }
 
-/** The serial-irrevocable fallback quiesces inside the inner STM's
- * start path, which would straddle a kind switch — the router must
- * refuse the combination outright. */
+/** Serial-irrevocable escalation and kind switching both quiesce the
+ * DPU in txStart; with two or more candidates the STM refuses the
+ * combination outright. */
 TEST(AdaptiveSwitch, SerialFallbackRejectedWithKindSwitching)
 {
     RunSpec spec = benchSpec(core::StmKind::NOrec, 8);
