@@ -275,6 +275,13 @@ TEST(SchedElisionUnit, MixedScheduleIdenticalAcrossModes)
     expectSameSimulatedStats(elided, switched);
     EXPECT_GT(elided.sched_elisions, 0u);
     EXPECT_EQ(switched.sched_elisions, 0u);
+    // Exact counts of the scheduler that resumed every tasklet from its
+    // loop: handing off tasklet to tasklet must resume the same
+    // tasklets as often, and always-switch pays one resumption per
+    // charge the elided run absorbed.
+    EXPECT_EQ(elided.sched_switches, 2008u);
+    EXPECT_EQ(elided.sched_elisions, 241u);
+    EXPECT_EQ(switched.sched_switches, 2249u);
 }
 
 // ---------------------------------------------------------------------

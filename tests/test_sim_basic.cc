@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "sim/dpu.hh"
 #include "sim/fiber.hh"
@@ -158,6 +160,52 @@ TEST(Memory, ResetAllocReclaims)
     EXPECT_FALSE(m.canAlloc(1));
     m.resetAlloc();
     EXPECT_TRUE(m.canAlloc(128));
+}
+
+TEST(Memory, CrashScrambleResolvesLinesInOffsetOrder)
+{
+    // Lines dirtied in descending order still take the seeded RNG's
+    // draws in ascending offset order, and a line written twice keeps
+    // the pre-image of its first write since the last fence.
+    constexpr u32 kLines = 64;
+    const auto before = [](u32 i) { return 0x0101010101010101ULL * i; };
+    const auto after = [](u32 i) { return 0xa5a5a5a500000000ULL | i; };
+    Memory m(Tier::Mram, 4096);
+    for (u32 i = 0; i < kLines; ++i)
+        m.write64(8 * i, before(i));
+    m.setPersistTracking(true);
+    m.write64(8 * 5, 0xdeadULL);
+    for (u32 i = kLines; i-- > 0;)
+        m.write64(8 * i, after(i));
+    EXPECT_EQ(m.pendingPersistLines(), kLines);
+
+    const u64 seed = 12345;
+    m.crashScramble(seed);
+    Rng rng(seed);
+    constexpr u64 kLow = 0xffffffffULL;
+    for (u32 i = 0; i < kLines; ++i) {
+        const u64 pre = before(i), post = after(i);
+        u64 want = post; // kept
+        switch (rng.below(4)) {
+          case 1: // dropped
+            want = pre;
+            break;
+          case 2: // low half reverted
+            want = (post & ~kLow) | (pre & kLow);
+            break;
+          case 3: // high half reverted
+            want = (pre & ~kLow) | (post & kLow);
+            break;
+        }
+        EXPECT_EQ(m.read64(8 * i), want) << "line " << i;
+    }
+    EXPECT_EQ(m.pendingPersistLines(), 0u);
+
+    // The crash emptied the pending set: the next write is tracked anew.
+    m.write64(0, 7);
+    EXPECT_EQ(m.pendingPersistLines(), 1u);
+    EXPECT_EQ(m.fence(), 1u);
+    EXPECT_EQ(m.pendingPersistLines(), 0u);
 }
 
 TEST(Addr, TierTagging)
@@ -453,4 +501,25 @@ TEST(Dpu, TaskletExceptionPropagates)
     Dpu dpu(smallDpuConfig(), TimingConfig{});
     dpu.addTasklet([](DpuContext &) { throw std::runtime_error("app"); });
     EXPECT_THROW(dpu.run(), std::runtime_error);
+}
+
+TEST(Dpu, TaskletExceptionAfterHandoffPropagates)
+{
+    // Three tasklets charging in turn: after its first charge, tasklet 2
+    // is resumed by a peer giving up the DPU, not by the scheduler loop,
+    // so it throws (at its fifth charge) on a fiber the loop never
+    // entered.
+    Dpu dpu(smallDpuConfig(), TimingConfig{});
+    dpu.addTasklets(3, [](DpuContext &ctx) {
+        for (int i = 0; i < 10; ++i) {
+            if (ctx.taskletId() == 2 && i == 4)
+                throw std::runtime_error("tasklet 2 fails");
+            ctx.compute(1);
+        }
+    });
+    EXPECT_THROW(dpu.run(), std::runtime_error);
+    ASSERT_EQ(dpu.taskletFaults().size(), 1u);
+    EXPECT_EQ(dpu.taskletFaults()[0].tasklet, 2u);
+    EXPECT_EQ(dpu.taskletFaults()[0].message, "tasklet 2 fails");
+    EXPECT_FALSE(dpu.taskletFaults()[0].injected_crash);
 }
