@@ -77,7 +77,7 @@ DpuContext::compute(u64 instrs)
     const Cycles cost = dpu_.instrCost(instrs);
     dpu_.stats_.instructions += instrs;
     charge(phase_, cost);
-    dpu_.consume(id_, cost, phase_);
+    dpu_.consume(id_, cost);
     if (FaultInjector *fi = dpu_.fault_injector_.get()) {
         // Injected stall: the tasklet crossed a plan-listed instruction
         // count. Delivered as an ordinary timing charge so blocked
@@ -91,7 +91,7 @@ DpuContext::compute(u64 instrs)
                                              SchedEvent::FaultStall, stall,
                                              0);
             charge(phase_, stall);
-            dpu_.consume(id_, stall, phase_);
+            dpu_.consume(id_, stall);
         }
     }
 }
@@ -154,7 +154,7 @@ DpuContext::touchRead(Tier tier, size_t bytes)
         const Cycles done = dpu_.mramAccess(id_, bytes, false);
         const Cycles cost = done - dpu_.now_;
         charge(phase_, cost);
-        dpu_.consume(id_, cost, phase_);
+        dpu_.consume(id_, cost);
     }
 }
 
@@ -170,7 +170,7 @@ DpuContext::touchWrite(Tier tier, size_t bytes)
         const Cycles done = dpu_.mramAccess(id_, bytes, true);
         const Cycles cost = done - dpu_.now_;
         charge(phase_, cost);
-        dpu_.consume(id_, cost, phase_);
+        dpu_.consume(id_, cost);
     }
 }
 
@@ -190,7 +190,7 @@ DpuContext::touchRandom(Tier tier, u64 count, size_t bytes_each,
         dpu_.mramRandomAccess(id_, count, bytes_each, is_write);
     const Cycles cost = done - dpu_.now_;
     charge(phase_, cost);
-    dpu_.consume(id_, cost, phase_);
+    dpu_.consume(id_, cost);
 }
 
 void
@@ -206,7 +206,7 @@ DpuContext::acquire(u32 key)
                                              SchedEvent::FaultAcqDelay, d,
                                              0);
             charge(phase_, d);
-            dpu_.consume(id_, d, phase_);
+            dpu_.consume(id_, d);
         }
     }
     const unsigned bit = dpu_.atomic_reg_.bitFor(key);
@@ -260,7 +260,7 @@ DpuContext::flushFence()
     dpu_.mram_.fence();
     const Cycles cost = done - dpu_.now_;
     charge(phase_, cost);
-    dpu_.consume(id_, cost, phase_);
+    dpu_.consume(id_, cost);
 }
 
 void
@@ -282,7 +282,7 @@ void
 DpuContext::delay(Cycles cycles)
 {
     charge(phase_, cycles);
-    dpu_.consume(id_, cycles, phase_);
+    dpu_.consume(id_, cycles);
 }
 
 //
@@ -462,6 +462,35 @@ Dpu::pushReady(unsigned tid)
     std::push_heap(ready_heap_.begin(), ready_heap_.end(), laterThan);
 }
 
+Dpu::ReadyEntry
+Dpu::popReady()
+{
+    std::pop_heap(ready_heap_.begin(), ready_heap_.end(), laterThan);
+    const ReadyEntry e = ready_heap_.back();
+    ready_heap_.pop_back();
+    return e;
+}
+
+void
+Dpu::replaceReadyTop(const ReadyEntry &e)
+{
+    // Sift e down from the root: push_heap followed by pop_heap in one
+    // pass. The layout may differ from theirs, but the pick cannot —
+    // (ready_at, tid) is a strict order and the top is its minimum.
+    const size_t n = ready_heap_.size();
+    size_t hole = 0;
+    for (size_t child = 1; child < n; child = 2 * hole + 1) {
+        if (child + 1 < n &&
+            laterThan(ready_heap_[child], ready_heap_[child + 1]))
+            ++child;
+        if (!laterThan(e, ready_heap_[child]))
+            break;
+        ready_heap_[hole] = ready_heap_[child];
+        hole = child;
+    }
+    ready_heap_[hole] = e;
+}
+
 bool
 Dpu::currentStaysNext(unsigned tid, Cycles at) const
 {
@@ -472,7 +501,29 @@ Dpu::currentStaysNext(unsigned tid, Cycles at) const
 }
 
 void
-Dpu::consume(unsigned tid, Cycles cycles, Phase)
+Dpu::dispatch(const ReadyEntry &e)
+{
+    const auto &t = tasklets_[e.tid];
+    panicIf(t.state != TaskletState::Ready || t.ready_at != e.ready_at,
+            "stale ready-heap entry");
+    now_ = std::max(now_, e.ready_at);
+    running_tid_ = e.tid;
+    ++stats_.sched_switches;
+    if (trace_sink_)
+        trace_sink_->schedEvent(now_, e.tid, SchedEvent::Switch,
+                                e.ready_at, 0);
+}
+
+void
+Dpu::handOff(unsigned tid, const ReadyEntry &next)
+{
+    dispatch(next);
+    if (next.tid != tid)
+        fibers_[tid]->switchTo(*fibers_[next.tid]);
+}
+
+void
+Dpu::consume(unsigned tid, Cycles cycles)
 {
     // Livelock watchdog. The deadline is UINT64_MAX when disarmed, so
     // the disabled fast path costs one never-taken compare. Checked
@@ -490,14 +541,22 @@ Dpu::consume(unsigned tid, Cycles cycles, Phase)
     // Fiber-switch elision: when this tasklet would be the scheduler's
     // earliest-clock pick anyway (ties by id), resuming it is the only
     // thing scheduleLoop could do — advance the clock in place and keep
-    // running instead of paying two context switches.
+    // running instead of switching at all.
     if (!always_switch_ && currentStaysNext(tid, t.ready_at)) {
         now_ = t.ready_at;
         ++stats_.sched_elisions;
         return;
     }
-    pushReady(tid);
-    suspend(tid);
+    if (always_switch_ || crash_pending_) {
+        pushReady(tid);
+        suspend(tid); // the round trip through scheduleLoop
+        return;
+    }
+    // Direct handoff: the heap root is the next pick. This tasklet's
+    // entry takes its place, and the root's fiber runs next.
+    const ReadyEntry next = ready_heap_.front();
+    replaceReadyTop({t.ready_at, tid});
+    handOff(tid, next);
 }
 
 void
@@ -604,7 +663,14 @@ void
 Dpu::suspend(unsigned tid)
 {
     panicIf(running_tid_ != tid, "suspend from a non-running tasklet");
-    fibers_[tid]->yieldOut();
+    // Back to scheduleLoop only when it has something to decide: the
+    // always-switch round trip, a pending whole-DPU crash, or no
+    // runnable tasklet (every live one is blocked: a deadlock).
+    if (always_switch_ || crash_pending_ || ready_heap_.empty()) {
+        fibers_[tid]->yieldOut();
+        return;
+    }
+    handOff(tid, popReady());
 }
 
 void
@@ -802,21 +868,16 @@ Dpu::scheduleLoop()
             // progress dump instead of the old unattributed panic.
             watchdogFire(WatchdogError::Kind::Deadlock);
         }
-        std::pop_heap(ready_heap_.begin(), ready_heap_.end(), laterThan);
-        const ReadyEntry e = ready_heap_.back();
-        ready_heap_.pop_back();
-
-        auto &t = tasklets_[e.tid];
-        panicIf(t.state != TaskletState::Ready || t.ready_at != e.ready_at,
-                "stale ready-heap entry");
-        now_ = std::max(now_, e.ready_at);
-        running_tid_ = e.tid;
-        ++stats_.sched_switches;
-        if (trace_sink_)
-            trace_sink_->schedEvent(now_, e.tid, SchedEvent::Switch,
-                                    e.ready_at, 0);
-        const bool alive = fibers_[e.tid]->enter();
+        const ReadyEntry e = popReady();
+        dispatch(e);
+        Fiber *back = nullptr;
+        const bool alive = fibers_[e.tid]->enter(&back);
+        // Tasklets hand the DPU to each other directly (suspend), so the
+        // one that came back is the running one, not necessarily e.tid.
+        panicIf(back != fibers_[running_tid_].get(),
+                "the fiber that came back is not the running tasklet's");
         if (!alive) {
+            auto &t = tasklets_[running_tid_];
             t.state = TaskletState::Finished;
             --runnable_count_;
             ++finished_count_;

@@ -9,20 +9,23 @@
  * Tasklet code is ordinary C++ running on a fiber. Every operation with
  * a simulated cost goes through the DpuContext handed to the tasklet
  * body; the context computes the cost under the TimingConfig, advances
- * the tasklet's local clock and hands control to the scheduler, which
- * always resumes the globally-earliest runnable tasklet (ties broken by
- * id). Interleaving is thus decided purely by simulated time —
+ * the tasklet's local clock and gives up the DPU, which always goes to
+ * the globally-earliest runnable tasklet (ties broken by id).
+ * Interleaving is thus decided purely by simulated time —
  * deterministic, yet fine-grained enough (a scheduling point on every
  * memory access and atomic op) that real STM conflicts, aborts and lock
  * aliasing all occur.
  *
- * As a pure host-side optimization, a timing charge whose tasklet would
- * be the scheduler's next pick anyway advances the clock in place and
- * keeps running instead of paying two fiber switches ("fiber-switch
- * elision"); the observable schedule is identical by construction, and
- * PIMSTM_SIM_ALWAYS_SWITCH=1 (or DpuConfig::always_switch) restores
- * the switch-on-every-charge behaviour for cross-checking. See
- * docs/simulator.md §"Scheduler and timing model".
+ * Two pure host-side optimizations keep the schedule identical by
+ * construction. A timing charge whose tasklet would be the next pick
+ * anyway advances the clock in place and keeps running ("fiber-switch
+ * elision"). Any other scheduling point switches straight to the next
+ * pick's fiber ("direct handoff") instead of returning to the
+ * scheduler loop, which only starts the run and handles finished
+ * tasklets, deadlock and crashes. PIMSTM_SIM_ALWAYS_SWITCH=1 (or
+ * DpuConfig::always_switch) restores the round trip through the loop
+ * on every charge for cross-checking. See docs/simulator.md
+ * §"Scheduler and fiber-switch elision".
  */
 
 #ifndef PIMSTM_SIM_DPU_HH
@@ -110,7 +113,7 @@ struct DpuStats
      * always-switch run of the same workload agree on every field
      * above but differ here by construction).
      */
-    /** Fiber entries performed by the scheduler. */
+    /** Tasklet resumptions, by the loop or by a handoff. */
     u64 sched_switches = 0;
     /** Timing charges absorbed in place without a fiber switch. */
     u64 sched_elisions = 0;
@@ -474,13 +477,27 @@ class Dpu
     /** Cost in cycles of issuing @p instrs instructions now. */
     Cycles instrCost(u64 instrs) const;
 
-    /** Charge @p cycles to @p t; keeps running in place when @p tid
-     * would be the scheduler's next pick anyway, else suspends it
-     * until now + cycles. */
-    void consume(unsigned tid, Cycles cycles, Phase phase);
+    /** Charge @p cycles to the running tasklet @p tid; keeps running
+     * in place when @p tid would be the scheduler's next pick anyway,
+     * else suspends it until now + cycles. */
+    void consume(unsigned tid, Cycles cycles);
 
     /** Push @p tid (state Ready) into the ready heap. */
     void pushReady(unsigned tid);
+
+    /** Pop the ready heap's top: the next pick. */
+    ReadyEntry popReady();
+
+    /** Replace the ready heap's top with @p e (one sift-down). */
+    void replaceReadyTop(const ReadyEntry &e);
+
+    /** Make @p e's tasklet, just taken off the ready heap, the running
+     * one: clock, switch count and trace, as for every resumption. */
+    void dispatch(const ReadyEntry &e);
+
+    /** Dispatch @p next and switch the running tasklet @p tid's fiber
+     * straight to its fiber (no switch when it is @p tid itself). */
+    void handOff(unsigned tid, const ReadyEntry &next);
 
     /** True when the running tasklet @p tid, becoming runnable again at
      * @p at, is exactly what scheduleLoop would pick next. */
@@ -504,7 +521,10 @@ class Dpu
     Cycles mramRandomAccess(unsigned tid, u64 count, size_t bytes_each,
                             bool is_write);
 
-    /** Suspend the calling tasklet and return to the scheduler. */
+    /** Suspend the running tasklet @p tid (already requeued, or
+     * blocked) and hand the DPU to the next pick, or return to
+     * scheduleLoop when there is none, a crash is pending or every
+     * charge switches. */
     void suspend(unsigned tid);
 
     /** Wake tasklets blocked on atomic @p bit. */

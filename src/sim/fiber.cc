@@ -20,7 +20,7 @@ namespace
 // slot. Each DPU runs on one host thread, but different DPUs may run
 // on different host threads concurrently (util::ThreadPool), so the
 // slot must be thread-local: a plain static would let one thread's
-// enter() clobber the fiber another thread is about to start.
+// switch clobber the fiber another thread is about to start.
 thread_local Fiber *starting_fiber = nullptr;
 
 /** A stack no fiber is running on. */
@@ -133,6 +133,18 @@ pimstm_fiber_switch:
     ret
 )");
 
+namespace
+{
+
+/** Save the running context in @p save and resume @p load. */
+inline void
+jump(void *&save, void *&load)
+{
+    pimstm_fiber_switch(&save, &load);
+}
+
+} // namespace
+
 /** First frame of every fiber: recover the Fiber and run its body. */
 void
 fiberEntry()
@@ -159,53 +171,7 @@ Fiber::armStack()
     *--slot = reinterpret_cast<u64>(&fiberEntry);
     for (int i = 0; i < 6; ++i)
         *--slot = 0; // r15, r14, r13, r12, rbx, rbp
-    sp_ = slot;
-}
-
-void
-Fiber::run()
-{
-    try {
-        body_();
-    } catch (...) {
-        pending_exception_ = std::current_exception();
-    }
-    finished_ = true;
-    // Return to the most recent enter().
-    pimstm_fiber_switch(&sp_, &owner_sp_);
-}
-
-bool
-Fiber::enter()
-{
-    panicIf(finished_, "Fiber::enter on a finished fiber");
-    panicIf(inside_, "Fiber::enter re-entered");
-
-    if (!started_) {
-        acquireStack();
-        armStack();
-        started_ = true;
-        starting_fiber = this;
-    }
-    inside_ = true;
-    pimstm_fiber_switch(&owner_sp_, &sp_);
-    inside_ = false;
-    if (finished_)
-        releaseStack();
-
-    if (pending_exception_) {
-        auto ex = pending_exception_;
-        pending_exception_ = nullptr;
-        std::rethrow_exception(ex);
-    }
-    return !finished_;
-}
-
-void
-Fiber::yieldOut()
-{
-    panicIf(!inside_, "Fiber::yieldOut outside the fiber");
-    pimstm_fiber_switch(&sp_, &owner_sp_);
+    ctx_ = slot;
 }
 
 #else // PIMSTM_FIBER_FAST
@@ -216,13 +182,26 @@ Fiber::yieldOut()
 // hand-rolled stack switch).
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** Save the running context in @p save and resume @p load. */
+inline void
+jump(ucontext_t &save, ucontext_t &load)
+{
+    panicIf(swapcontext(&save, &load) != 0, "swapcontext failed");
+}
+
+} // namespace
+
 void
 Fiber::armStack()
 {
     panicIf(getcontext(&ctx_) != 0, "getcontext failed");
     ctx_.uc_stack.ss_sp = stack_.get();
     ctx_.uc_stack.ss_size = stack_bytes_;
-    ctx_.uc_link = &owner_ctx_;
+    // Never followed: run() switches back to the owner explicitly.
+    ctx_.uc_link = nullptr;
     makecontext(&ctx_, &Fiber::trampoline, 0);
 }
 
@@ -231,85 +210,134 @@ Fiber::trampoline()
 {
     Fiber *self = starting_fiber;
     starting_fiber = nullptr;
-#ifdef PIMSTM_FIBER_ASAN
-    __sanitizer_finish_switch_fiber(nullptr, &self->owner_stack_bottom_,
-                                    &self->owner_stack_size_);
-#endif
     self->run();
-    // Falling off the trampoline returns to owner_ctx_ via uc_link, but
-    // run() already marks the fiber finished and we prefer the explicit
-    // swap so the owner context is the one captured by the last enter().
+    std::abort(); // a finished fiber is never re-entered
+}
+
+#endif // PIMSTM_FIBER_FAST
+
+// ---------------------------------------------------------------------
+// The switches, shared by both primitives. Under ASan (ucontext only)
+// each one is bracketed by __sanitizer_start/finish_switch_fiber:
+// start names the destination's stack, and a fiber finishes the switch
+// into it in landed().
+// ---------------------------------------------------------------------
+
+void
+Fiber::start()
+{
+    acquireStack();
+    armStack();
+    started_ = true;
+    starting_fiber = this;
+#ifdef PIMSTM_FIBER_ASAN
+    fake_stack_ = nullptr; // the body's first frame has none yet
+#endif
+}
+
+void
+Fiber::landed()
+{
+#ifdef PIMSTM_FIBER_ASAN
+    // The first switch into a fiber under a new Owner is the one
+    // enter() made, so the stack it came from is the owner's. Every
+    // later switch under that Owner comes from a peer.
+    const void *from_bottom = nullptr;
+    size_t from_size = 0;
+    __sanitizer_finish_switch_fiber(fake_stack_, &from_bottom, &from_size);
+    if (owner_->stack_bottom == nullptr) {
+        owner_->stack_bottom = from_bottom;
+        owner_->stack_size = from_size;
+    }
+#endif
 }
 
 void
 Fiber::run()
 {
+    landed();
     try {
         body_();
     } catch (...) {
         pending_exception_ = std::current_exception();
     }
     finished_ = true;
+    owner_->back = this;
 #ifdef PIMSTM_FIBER_ASAN
     // Never resumed: the null fake-stack slot lets ASan free this
     // fiber's fake stack.
-    __sanitizer_start_switch_fiber(nullptr, owner_stack_bottom_,
-                                   owner_stack_size_);
+    __sanitizer_start_switch_fiber(nullptr, owner_->stack_bottom,
+                                   owner_->stack_size);
 #endif
-    // Return to the most recent enter().
-    swapcontext(&ctx_, &owner_ctx_);
+    jump(ctx_, owner_->ctx);
 }
 
 bool
-Fiber::enter()
+Fiber::enter(Fiber **back)
 {
     panicIf(finished_, "Fiber::enter on a finished fiber");
     panicIf(inside_, "Fiber::enter re-entered");
 
-    if (!started_) {
-        acquireStack();
-        armStack();
-        started_ = true;
-        starting_fiber = this;
-    }
+    Owner owner;
+    owner_ = &owner;
+    if (!started_)
+        start();
     inside_ = true;
 #ifdef PIMSTM_FIBER_ASAN
     void *owner_fake_stack = nullptr;
     __sanitizer_start_switch_fiber(&owner_fake_stack, stack_.get(),
                                    stack_bytes_);
 #endif
-    panicIf(swapcontext(&owner_ctx_, &ctx_) != 0, "swapcontext failed");
+    jump(owner.ctx, ctx_);
 #ifdef PIMSTM_FIBER_ASAN
     __sanitizer_finish_switch_fiber(owner_fake_stack, nullptr, nullptr);
 #endif
-    inside_ = false;
-    if (finished_)
-        releaseStack();
 
-    if (pending_exception_) {
-        auto ex = pending_exception_;
-        pending_exception_ = nullptr;
+    // The body may have handed over to peers: settle the fiber that
+    // came back, which need not be this one.
+    Fiber &f = *owner.back;
+    f.inside_ = false;
+    if (back)
+        *back = &f;
+    if (f.finished_)
+        f.releaseStack();
+    if (f.pending_exception_) {
+        auto ex = f.pending_exception_;
+        f.pending_exception_ = nullptr;
         std::rethrow_exception(ex);
     }
-    return !finished_;
+    return !f.finished_;
 }
 
 void
 Fiber::yieldOut()
 {
     panicIf(!inside_, "Fiber::yieldOut outside the fiber");
+    owner_->back = this;
 #ifdef PIMSTM_FIBER_ASAN
-    __sanitizer_start_switch_fiber(&fake_stack_, owner_stack_bottom_,
-                                   owner_stack_size_);
+    __sanitizer_start_switch_fiber(&fake_stack_, owner_->stack_bottom,
+                                   owner_->stack_size);
 #endif
-    panicIf(swapcontext(&ctx_, &owner_ctx_) != 0, "swapcontext failed");
-#ifdef PIMSTM_FIBER_ASAN
-    // The owner may have been re-entered from another host stack.
-    __sanitizer_finish_switch_fiber(fake_stack_, &owner_stack_bottom_,
-                                    &owner_stack_size_);
-#endif
+    jump(ctx_, owner_->ctx);
+    landed();
 }
 
-#endif // PIMSTM_FIBER_FAST
+void
+Fiber::switchTo(Fiber &next)
+{
+    panicIf(!inside_ || next.inside_ || next.finished_,
+            "Fiber::switchTo outside the fiber or to one that cannot run");
+    next.owner_ = owner_;
+    if (!next.started_)
+        next.start();
+    inside_ = false;
+    next.inside_ = true;
+#ifdef PIMSTM_FIBER_ASAN
+    __sanitizer_start_switch_fiber(&fake_stack_, next.stack_.get(),
+                                   next.stack_bytes_);
+#endif
+    jump(ctx_, next.ctx_);
+    landed();
+}
 
 } // namespace pimstm::sim

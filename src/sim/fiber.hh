@@ -2,15 +2,19 @@
  * @file
  * Cooperative user-level fibers.
  *
- * Each simulated tasklet runs on its own fiber; the DPU scheduler switches
- * into a fiber to advance that tasklet and the fiber switches back on
- * every simulated-cost operation that cannot be elided (see
- * Dpu::consume). One DPU's fibers all stay on the host thread that called
- * Dpu::run(), so simulated "concurrency" is fully deterministic —
- * while independent DPUs may run concurrently on different host
- * threads (a fiber must not migrate between host threads mid-run).
+ * Each simulated tasklet runs on its own fiber. The DPU scheduler loop
+ * enters a fiber to advance that tasklet; when the tasklet must give up
+ * the DPU (a timing charge that cannot be elided, see Dpu::consume), it
+ * switches straight to the next tasklet's fiber (switchTo) and hands
+ * that fiber the way back to the loop, which it reaches again only when
+ * a tasklet finishes or nothing else can run. One DPU's fibers all stay
+ * on the host thread that called Dpu::run(), so simulated
+ * "concurrency" is fully deterministic — while independent DPUs may
+ * run concurrently on different host threads (a fiber must not migrate
+ * between host threads mid-run).
  *
- * Two switch primitives are provided:
+ * Two switch primitives are provided, and both offer the owner switch
+ * (enter/yieldOut) and the peer switch (switchTo):
  *
  *  - **fast** (default on x86-64): a hand-rolled System V context
  *    switch that saves/restores only the callee-saved registers and the
@@ -19,7 +23,9 @@
  *    dominated the inner simulation loop; the simulator never touches
  *    signal masks, so the fast path simply skips it (~20 ns vs ~1 us).
  *  - **ucontext** (other architectures, sanitized builds, or
- *    -DPIMSTM_FIBER_UCONTEXT): the portable POSIX implementation.
+ *    -DPIMSTM_FIBER_UCONTEXT): the portable POSIX implementation. Under
+ *    AddressSanitizer every switch, peer switches included, is
+ *    announced with the destination's stack.
  *
  * Both are semantically identical to the scheduler; tests and CI run
  * the same suite whichever primitive is compiled in.
@@ -67,9 +73,11 @@ namespace pimstm::sim
 
 /**
  * A single fiber. The owner (scheduler) calls enter() to run it; the
- * fiber body calls yieldOut() to suspend back to the owner. When the
- * body returns (or throws), the fiber becomes finished and control
- * returns to the owner; a stored exception is rethrown by enter().
+ * fiber body calls yieldOut() to suspend back to the owner, or
+ * switchTo() to suspend in favour of a peer fiber, which then returns
+ * to the same owner. When the body returns (or throws), the fiber
+ * becomes finished and control returns to the owner; a stored
+ * exception is rethrown by enter().
  */
 class Fiber
 {
@@ -101,16 +109,29 @@ class Fiber
     void dropBody();
 
     /**
-     * Switch from the owner into the fiber; returns when the fiber
-     * yields or finishes. Rethrows any exception the body raised.
+     * Switch from the owner into the fiber; returns when a fiber yields
+     * or finishes: this one, or the last of the peers it (and they)
+     * handed over to with switchTo(). The stack release and exception
+     * of a finished fiber are those of the fiber that came back: its
+     * stack goes back to the host thread's spares, and any exception
+     * its body raised is rethrown here.
      *
-     * @retval true the fiber is still runnable (it yielded)
-     * @retval false the body finished
+     * @param back if not null, receives the fiber that came back
+     * @retval true that fiber is still runnable (it yielded)
+     * @retval false its body finished
      */
-    bool enter();
+    bool enter(Fiber **back = nullptr);
 
     /** Suspend back to the owner. Must be called from inside the body. */
     void yieldOut();
+
+    /**
+     * Suspend this fiber and run @p next (suspended, or armed and not
+     * yet started) in its place; @p next returns to this fiber's owner
+     * when it yields or finishes. Must be called from inside the body;
+     * returns once something switches back to this fiber.
+     */
+    void switchTo(Fiber &next);
 
     /** True once the body has returned or thrown. */
     bool finished() const { return finished_; }
@@ -132,15 +153,42 @@ class Fiber
   private:
 #ifdef PIMSTM_FIBER_FAST
     friend void fiberEntry();
+    /** A suspended context: its saved stack pointer. */
+    using Context = void *;
 #else
     static void trampoline();
+    using Context = ucontext_t;
 #endif
+
+    /**
+     * The context that called enter(), in that call's frame. Every
+     * fiber it reaches by handoffs points to it, so whichever one
+     * yields or finishes switches back to it and names itself.
+     */
+    struct Owner
+    {
+        Context ctx{};
+        /** The fiber that switched back. */
+        Fiber *back = nullptr;
+#ifdef PIMSTM_FIBER_ASAN
+        /** The owner's stack, learned by the fiber enter() switched
+         * into; every switch back announces it to ASan. */
+        const void *stack_bottom = nullptr;
+        size_t stack_size = 0;
+#endif
+    };
+
     /** Lay out the first switch into the entry routine (per primitive). */
     void armStack();
+    /** Take a stack and arm it; the next switch into the fiber runs
+     * the body from its start. */
+    void start();
     /** Take a spare stack of this host thread, or allocate one. */
     void acquireStack();
     /** Hand the finished body's stack back to this host thread. */
     void releaseStack();
+    /** On this fiber's stack, right after a switch into it. */
+    void landed();
     void run();
 
     /** Held only while the body runs (or is abandoned mid-body). */
@@ -149,19 +197,12 @@ class Fiber
     /** Stack size the current body needs (init()'s argument). */
     size_t wanted_stack_bytes_ = 0;
     Body body_;
-#ifdef PIMSTM_FIBER_FAST
-    /** Saved stack pointer of the suspended fiber / owner. */
-    void *sp_ = nullptr;
-    void *owner_sp_ = nullptr;
-#else
-    ucontext_t ctx_{};
-    ucontext_t owner_ctx_{};
-#endif
+    /** Where the fiber resumes when switched to. */
+    Context ctx_{};
+    /** The owner to switch back to, set by whatever switches into the
+     * fiber (enter() or a peer's switchTo()). */
+    Owner *owner_ = nullptr;
 #ifdef PIMSTM_FIBER_ASAN
-    /** The owner's stack, as reported on the last switch into the
-     * fiber; the switch back out announces it to ASan. */
-    const void *owner_stack_bottom_ = nullptr;
-    size_t owner_stack_size_ = 0;
     /** ASan fake stack of the suspended fiber (use-after-return). */
     void *fake_stack_ = nullptr;
 #endif

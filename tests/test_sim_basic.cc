@@ -112,6 +112,74 @@ TEST(Fiber, LiveFibersRunOnSeparateStacks)
     EXPECT_FALSE(b.enter());
 }
 
+// A body hands the owner over to a peer (switchTo); what the peer does
+// next — yield, finish or throw — must reach the owner as the peer's.
+
+TEST(Fiber, HandoffThenYieldComesBackAsThePeer)
+{
+    Fiber a, b;
+    std::vector<int> order;
+    a.init(64 * 1024, [&] {
+        order.push_back(1);
+        a.switchTo(b);
+        order.push_back(4);
+    });
+    b.init(64 * 1024, [&] {
+        order.push_back(2);
+        b.yieldOut();
+        order.push_back(3);
+    });
+    Fiber *back = nullptr;
+    EXPECT_TRUE(a.enter(&back));
+    EXPECT_EQ(back, &b);
+    EXPECT_TRUE(a.runnable()); // suspended in switchTo
+    EXPECT_FALSE(b.enter(&back));
+    EXPECT_EQ(back, &b);
+    EXPECT_FALSE(a.enter(&back));
+    EXPECT_EQ(back, &a);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Fiber, HandoffThenFinishReleasesThePeersStack)
+{
+    Fiber a, b, c;
+    uintptr_t at_a = 0, at_b = 0, at_c = 0;
+    a.init(64 * 1024, [&] {
+        volatile char probe = 0;
+        at_a = reinterpret_cast<uintptr_t>(&probe);
+        a.switchTo(b);
+    });
+    armRecordingStackAddress(b, at_b, false);
+    Fiber *back = nullptr;
+    EXPECT_FALSE(a.enter(&back));
+    EXPECT_EQ(back, &b);
+    EXPECT_TRUE(b.finished());
+    EXPECT_TRUE(a.runnable());
+    // The spare stack is b's: a, still suspended, keeps its own.
+    armRecordingStackAddress(c, at_c, false);
+    EXPECT_FALSE(c.enter());
+    EXPECT_EQ(at_c, at_b);
+    EXPECT_NE(at_c, at_a);
+    EXPECT_FALSE(a.enter(&back));
+    EXPECT_EQ(back, &a);
+}
+
+TEST(Fiber, HandoffThenThrowRethrowsFromTheOwnersEnter)
+{
+    Fiber a, b;
+    bool a_resumed = false;
+    a.init(64 * 1024, [&] {
+        a.switchTo(b);
+        a_resumed = true;
+    });
+    b.init(64 * 1024, [] { throw std::runtime_error("peer"); });
+    EXPECT_THROW(a.enter(), std::runtime_error);
+    EXPECT_TRUE(b.finished());
+    EXPECT_TRUE(a.runnable());
+    EXPECT_FALSE(a.enter()); // the peer's exception is not rethrown twice
+    EXPECT_TRUE(a_resumed);
+}
+
 TEST(Memory, ReadWriteRoundTrip)
 {
     Memory m(Tier::Mram, 4096);
