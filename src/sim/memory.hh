@@ -26,10 +26,10 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <map>
 #include <vector>
 
 #include "sim/addr.hh"
+#include "util/epoch_index.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/types.hh"
@@ -103,7 +103,7 @@ class Memory
             std::memset(data_.data(), 0, data_.size());
         brk_ = 0;
         persist_ = false;
-        pending_.clear();
+        clearPending();
     }
 
     /**
@@ -120,7 +120,9 @@ class Memory
     setPersistTracking(bool on)
     {
         persist_ = on;
-        pending_.clear();
+        if (on && pending_index_.slotCount() == 0)
+            pending_index_.init(kInitialPendingLines);
+        clearPending();
     }
 
     bool persistTracking() const { return persist_; }
@@ -133,7 +135,7 @@ class Memory
     fence()
     {
         const size_t n = pending_.size();
-        pending_.clear();
+        clearPending();
         return n;
     }
 
@@ -150,6 +152,10 @@ class Memory
     {
         if (pending_.empty())
             return 0;
+        std::sort(pending_.begin(), pending_.end(),
+                  [](const PendingLine &a, const PendingLine &b) {
+                      return a.line < b.line;
+                  });
         Rng rng(seed);
         size_t damaged = 0;
         for (const auto &[line, pre] : pending_) {
@@ -170,7 +176,7 @@ class Memory
                 break;
             }
         }
-        pending_.clear();
+        clearPending();
         return damaged;
     }
 
@@ -182,7 +188,7 @@ class Memory
     {
         if (!data_.empty())
             std::memset(data_.data(), 0, data_.size());
-        pending_.clear();
+        clearPending();
     }
     /** @} */
 
@@ -268,6 +274,16 @@ class Memory
     /** Minimum materialization step, to amortize vector growth. */
     static constexpr size_t kGrowQuantum = 64 * 1024;
 
+    /** Pending lines the index is first sized for; it grows past. */
+    static constexpr size_t kInitialPendingLines = 64;
+
+    /** An unflushed 8-byte line and its last-flushed pre-image. */
+    struct PendingLine
+    {
+        u32 line;
+        std::array<u8, 8> pre;
+    };
+
     void
     checkRange(u32 offset, size_t n) const
     {
@@ -312,15 +328,23 @@ class Memory
         const u32 first = offset & ~7u;
         const u32 last = static_cast<u32>((offset + n - 1) & ~7u);
         for (u32 line = first;; line += 8) {
-            auto it = pending_.lower_bound(line);
-            if (it == pending_.end() || it->first != line) {
-                std::array<u8, 8> pre;
-                readSparse(line, pre.data(), 8);
-                pending_.emplace_hint(it, line, pre);
+            if (pending_index_.insert(line,
+                                      static_cast<u32>(pending_.size()))) {
+                PendingLine &p = pending_.emplace_back();
+                p.line = line;
+                readSparse(line, p.pre.data(), 8);
             }
             if (line == last)
                 break;
         }
+    }
+
+    /** Forget every pending line (O(1) for the index). */
+    void
+    clearPending()
+    {
+        pending_.clear();
+        pending_index_.clear();
     }
 
     /** Write bytes without persist bookkeeping (crash resolution). */
@@ -339,9 +363,11 @@ class Memory
 
     /** Persist boundary (off unless durable mode enables it). */
     bool persist_ = false;
-    /** Unflushed 8-byte lines -> last-flushed pre-image (ordered, so
-     * crash resolution is deterministic). */
-    std::map<u32, std::array<u8, 8>> pending_;
+    /** Unflushed 8-byte lines in first-dirtied order; crashScramble
+     * sorts them by offset, so crash resolution is deterministic. */
+    std::vector<PendingLine> pending_;
+    /** Which lines are in pending_ (value: their position). */
+    util::EpochIndex<u32> pending_index_;
 };
 
 } // namespace pimstm::sim

@@ -79,8 +79,9 @@ class EpochIndex
 
     /** Insert @p key -> @p value; keeps the existing value if the key
      * is already present. Grows (and rehashes) when the load factor
-     * would exceed 1/2. */
-    void
+     * would exceed 1/2.
+     * @return true when @p key was not present */
+    bool
     insert(Key key, u32 value)
     {
         panicIf(slots_.empty(), "EpochIndex used before init()");
@@ -95,10 +96,10 @@ class EpochIndex
                 s.key = key;
                 s.value = value;
                 ++live_;
-                return;
+                return true;
             }
             if (s.key == key)
-                return; // keep the first value
+                return false; // keep the first value
             i = (i + 1) & mask_;
         }
     }
