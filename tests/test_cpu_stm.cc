@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 
@@ -135,14 +136,21 @@ TEST(KMeansCpuTest, FoldsEveryPointEveryRound)
 TEST(KMeansCpuTest, ScalesLinearlyInPoints)
 {
     // The Fig. 7 harness extrapolates CPU time linearly in the point
-    // count; verify the assumption within loose bounds.
+    // count; verify the assumption within loose bounds. These are real
+    // host threads, so each size takes the best of three runs: a run
+    // slowed by other load on the machine does not decide the ratio.
     KMeansCpuParams p;
     p.clusters = 8;
     p.threads = 4;
-    p.total_points = 20000;
-    const double t1 = runKMeansCpu(p).seconds;
-    p.total_points = 80000;
-    const double t4 = runKMeansCpu(p).seconds;
+    const auto best_of_3 = [&](u32 points) {
+        p.total_points = points;
+        double best = runKMeansCpu(p).seconds;
+        for (int i = 1; i < 3; ++i)
+            best = std::min(best, runKMeansCpu(p).seconds);
+        return best;
+    };
+    const double t1 = best_of_3(20000);
+    const double t4 = best_of_3(80000);
     EXPECT_GT(t4 / t1, 2.0);
     EXPECT_LT(t4 / t1, 8.0);
 }
