@@ -1,7 +1,6 @@
 #include "runtime/dpu_pool.hh"
 
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 #include <thread>
 
 namespace pimstm::runtime
@@ -14,8 +13,6 @@ DpuPool::DpuPool()
     // to bound host memory.
     const unsigned hw = std::thread::hardware_concurrency();
     max_pooled_ = std::max<size_t>(8, 2 * std::max(1u, hw));
-    if (const char *env = std::getenv("PIMSTM_NO_DPU_POOL"))
-        enabled_ = std::strcmp(env, "0") == 0;
 }
 
 DpuPool &
@@ -32,7 +29,7 @@ DpuPool::acquire(const sim::DpuConfig &cfg,
     std::unique_ptr<sim::Dpu> dpu;
     {
         std::lock_guard<std::mutex> lk(mutex_);
-        if (enabled_ && !free_.empty()) {
+        if (!free_.empty()) {
             dpu = std::move(free_.back());
             free_.pop_back();
             ++hits_;
@@ -53,7 +50,7 @@ DpuPool::release(std::unique_ptr<sim::Dpu> dpu)
     if (!dpu)
         return;
     std::lock_guard<std::mutex> lk(mutex_);
-    if (!enabled_ || free_.size() >= max_pooled_) {
+    if (free_.size() >= max_pooled_) {
         ++discards_;
         return; // dpu destructs on return (after the lock is dropped)
     }
@@ -81,20 +78,6 @@ DpuPool::clear()
         doomed.swap(free_);
     }
     // Destruction (freeing materialized tiers) happens outside the lock.
-}
-
-void
-DpuPool::setEnabled(bool on)
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    enabled_ = on;
-}
-
-bool
-DpuPool::enabled() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return enabled_;
 }
 
 } // namespace pimstm::runtime

@@ -10,8 +10,8 @@
  *
  * The pool is shared by all host threads of runtime::runWorkloadMany;
  * acquire/release are mutex-protected (the expensive recycle memset
- * runs outside the lock). PIMSTM_NO_DPU_POOL=1 disables pooling for
- * cross-checking; hit/miss counters feed the --perf-json artifact.
+ * runs outside the lock); hit/miss counters feed the --perf-json
+ * artifact.
  */
 
 #ifndef PIMSTM_RUNTIME_DPU_POOL_HH
@@ -30,8 +30,7 @@ namespace pimstm::runtime
 class DpuPool
 {
   public:
-    /** The process-wide pool (pooling state of PIMSTM_NO_DPU_POOL is
-     * read once, at first use). */
+    /** The process-wide pool. */
     static DpuPool &global();
 
     /** A Dpu in the fresh-constructed state for (cfg, timing): a
@@ -61,19 +60,12 @@ class DpuPool
     /** Drop every pooled instance (tests; bounds host memory). */
     void clear();
 
-    /** @{ Pooling toggle (tests / PIMSTM_NO_DPU_POOL). When disabled,
-     * acquire always constructs and release always destroys. */
-    void setEnabled(bool on);
-    bool enabled() const;
-    /** @} */
-
   private:
     DpuPool();
 
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<sim::Dpu>> free_;
     size_t max_pooled_;
-    bool enabled_ = true;
     u64 hits_ = 0;
     u64 misses_ = 0;
     u64 discards_ = 0;

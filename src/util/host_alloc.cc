@@ -1,7 +1,5 @@
 #include "util/host_alloc.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 #ifdef __GLIBC__
@@ -16,10 +14,6 @@ tuneHostAllocator()
 {
     static std::once_flag once;
     std::call_once(once, [] {
-        if (const char *env = std::getenv("PIMSTM_NO_MALLOC_TUNE")) {
-            if (std::strcmp(env, "0") != 0)
-                return;
-        }
 #ifdef __GLIBC__
         // 32 MB covers the largest per-sweep-point allocation (STM
         // metadata, index tables) and the common materialized extent

@@ -22,7 +22,7 @@ namespace pimstm::util
 {
 
 /** Apply the allocator tuning once per process (idempotent,
- * thread-safe). Set PIMSTM_NO_MALLOC_TUNE=1 to skip it. */
+ * thread-safe). */
 void tuneHostAllocator();
 
 } // namespace pimstm::util

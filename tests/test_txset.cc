@@ -409,7 +409,6 @@ TEST(DpuPool, FreshVsPooledRunsAreBitwiseIdentical)
     using runtime::DpuPool;
     auto &pool = DpuPool::global();
     pool.clear();
-    pool.setEnabled(true);
 
     runtime::RunSpec spec;
     spec.kind = StmKind::TinyEtlWb;
@@ -448,24 +447,4 @@ TEST(DpuPool, FreshVsPooledRunsAreBitwiseIdentical)
     EXPECT_EQ(r1.dpu.atomic_stalls, r2.dpu.atomic_stalls);
     EXPECT_EQ(r1.seconds, r2.seconds);
     EXPECT_EQ(r1.throughput, r2.throughput);
-}
-
-TEST(DpuPool, DisabledPoolAlwaysConstructsFresh)
-{
-    using runtime::DpuPool;
-    auto &pool = DpuPool::global();
-    pool.clear();
-    pool.setEnabled(false);
-
-    const auto before = pool.stats();
-    auto a = pool.acquire(smallDpu(), TimingConfig{});
-    pool.release(std::move(a));
-    auto b = pool.acquire(smallDpu(), TimingConfig{});
-    const auto after = pool.stats();
-    EXPECT_EQ(after.hits, before.hits);
-    EXPECT_EQ(after.misses, before.misses + 2);
-    EXPECT_EQ(after.pooled, 0u);
-
-    pool.setEnabled(true);
-    b.reset();
 }
