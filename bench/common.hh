@@ -67,7 +67,6 @@
 
 #include "runtime/dpu_pool.hh"
 #include "runtime/driver.hh"
-#include "runtime/shared_array.hh"
 #include "sim/fault.hh"
 #include "util/logging.hh"
 #include "util/stats_math.hh"
@@ -973,167 +972,6 @@ sweepKinds(const std::string &title, const WorkloadFactory &factory,
     std::cout << "\n";
     return results;
 }
-
-/** Parameters shaping a PhasedWorkload instance. */
-struct PhasedParams
-{
-    /** Words in the large read/scan region. */
-    u32 large_words = 8192;
-    /** Words in the tiny contended RMW region. */
-    u32 hot_words = 8;
-
-    /** @{ Phase 1 — read-heavy, low contention. */
-    u32 read_txs = 40;  ///< transactions per tasklet
-    u32 read_ops = 40;  ///< random reads per transaction
-    /** @} */
-
-    /** @{ Phase 2 — high-contention writes on the hot region. */
-    u32 write_txs = 120;
-    u32 rmw_ops = 4;
-    /** @} */
-
-    /** @{ Phase 3 — scans with sparse updates: long read sets plus a
-     * few random-word RMWs. The writers make this the regime where
-     * value-validation STMs (NOrec) revalidate whole scans per
-     * concurrent commit while per-word-lock kinds are untouched. */
-    u32 scan_txs = 16;
-    u32 scan_ops = 128;
-    u32 scan_rmw = 2;
-    /** @} */
-
-    static PhasedParams
-    quick()
-    {
-        return {};
-    }
-
-    static PhasedParams
-    full()
-    {
-        PhasedParams p;
-        p.read_txs = 120;
-        p.write_txs = 400;
-        p.scan_txs = 40;
-        return p;
-    }
-
-    u32 totalWords() const { return large_words + hot_words; }
-};
-
-/**
- * The phased workload behind bench/ablation_adaptive: each tasklet
- * runs three back-to-back phases whose contention regimes differ —
- * read-heavy random reads over a large region, then tiny
- * read-modify-write transactions on a hot region (high contention),
- * then long scans with sparse random-word updates. No single static
- * configuration is right for all three, which is what the epoch
- * controller exploits (docs/adaptive.md).
- *
- * Invariant: every write is a +1 RMW on some word, so
- *     sum(array) == phase-2 commits x rmw_ops
- *                 + phase-3 commits x scan_rmw.
- */
-class PhasedWorkload : public runtime::Workload
-{
-  public:
-    explicit PhasedWorkload(const PhasedParams &params)
-        : params_(params)
-    {}
-
-    const char *name() const override { return "Phased"; }
-
-    void
-    configure(core::StmConfig &cfg) const override
-    {
-        cfg.max_read_set =
-            std::max({params_.read_ops,
-                      params_.scan_ops + params_.scan_rmw,
-                      params_.rmw_ops}) +
-            8;
-        cfg.max_write_set =
-            std::max(params_.rmw_ops, params_.scan_rmw) + 8;
-        cfg.data_words_hint = params_.totalWords();
-    }
-
-    void
-    setup(sim::Dpu &dpu, core::Stm &) override
-    {
-        array_ = runtime::SharedArray32(dpu, sim::Tier::Mram,
-                                        params_.totalWords());
-        array_.fill(dpu, 0);
-        rmw_commits_ = 0;
-        scan_commits_ = 0;
-    }
-
-    void
-    tasklet(sim::DpuContext &ctx, core::Stm &stm) override
-    {
-        // Phase 1: read-heavy over the large region.
-        for (u32 t = 0; t < params_.read_txs; ++t) {
-            core::atomically(stm, ctx, [&](core::TxHandle &tx) {
-                for (u32 i = 0; i < params_.read_ops; ++i) {
-                    const u32 idx = static_cast<u32>(
-                        ctx.rng().below(params_.large_words));
-                    tx.read(array_.at(idx));
-                }
-            });
-        }
-        // Phase 2: contended RMWs on the hot region.
-        for (u32 t = 0; t < params_.write_txs; ++t) {
-            core::atomically(stm, ctx, [&](core::TxHandle &tx) {
-                for (u32 i = 0; i < params_.rmw_ops; ++i) {
-                    const u32 idx = params_.large_words +
-                        static_cast<u32>(
-                            ctx.rng().below(params_.hot_words));
-                    const u32 v = tx.read(array_.at(idx));
-                    tx.write(array_.at(idx), v + 1);
-                }
-            });
-            // Tasklets are fibers of one simulated DPU: no host race.
-            ++rmw_commits_;
-        }
-        // Phase 3: long scans with a few sparse random-word updates —
-        // the concurrent writers force value-validation kinds to
-        // revalidate whole scans while per-word locks see no conflict.
-        for (u32 t = 0; t < params_.scan_txs; ++t) {
-            core::atomically(stm, ctx, [&](core::TxHandle &tx) {
-                const u32 span = params_.large_words > params_.scan_ops
-                    ? params_.large_words - params_.scan_ops
-                    : 1;
-                const u32 start =
-                    static_cast<u32>(ctx.rng().below(span));
-                for (u32 i = 0; i < params_.scan_ops; ++i)
-                    tx.read(array_.at(start + i));
-                for (u32 i = 0; i < params_.scan_rmw; ++i) {
-                    const u32 idx = static_cast<u32>(
-                        ctx.rng().below(params_.large_words));
-                    const u32 v = tx.read(array_.at(idx));
-                    tx.write(array_.at(idx), v + 1);
-                }
-            });
-            ++scan_commits_;
-        }
-    }
-
-    void
-    verify(sim::Dpu &dpu, core::Stm &) override
-    {
-        u64 sum = 0;
-        for (u32 i = 0; i < params_.totalWords(); ++i)
-            sum += array_.peek(dpu, i);
-        const u64 expected =
-            rmw_commits_ * static_cast<u64>(params_.rmw_ops) +
-            scan_commits_ * static_cast<u64>(params_.scan_rmw);
-        fatalIf(sum != expected, "PhasedWorkload invariant broken: sum ",
-                sum, " != committed RMW count ", expected);
-    }
-
-  private:
-    PhasedParams params_;
-    runtime::SharedArray32 array_;
-    u64 rmw_commits_ = 0;
-    u64 scan_commits_ = 0;
-};
 
 /** Peak throughput over the tasklet series for one (kind, tier). */
 inline double
