@@ -19,9 +19,9 @@ NOrecAlgorithm::doStart(DpuContext &ctx, TxDescriptor &tx)
             return;
         }
         traceLockWait(ctx, kSeqLockTraceIndex,
-                      cfg_.norec_start_wait ? cfg_.norec_wait_cycles : 0);
+                      cfg_.norec_start_wait ? kNorecWaitCycles : 0);
         if (cfg_.norec_start_wait)
-            ctx.delay(cfg_.norec_wait_cycles);
+            ctx.delay(kNorecWaitCycles);
         else
             ctx.yield();
     }
@@ -36,8 +36,8 @@ NOrecAlgorithm::validateAndExtend(DpuContext &ctx, TxDescriptor &tx)
         metaRead(ctx, 8);
         const u64 s = seqlock_;
         if (s & 1) {
-            traceLockWait(ctx, kSeqLockTraceIndex, cfg_.norec_wait_cycles);
-            ctx.delay(cfg_.norec_wait_cycles);
+            traceLockWait(ctx, kSeqLockTraceIndex, kNorecWaitCycles);
+            ctx.delay(kNorecWaitCycles);
             continue;
         }
         // Value-based validation: every previously-read location must

@@ -339,8 +339,8 @@ Stm::computedLockTableEntries() const
     u32 entries = cfg_.lock_table_entries_override
         ? cfg_.lock_table_entries_override
         : static_cast<u32>(nextPow2(cfg_.data_words_hint));
-    entries = std::max(entries, cfg_.min_lock_table_entries);
-    entries = std::min(entries, cfg_.max_lock_table_entries);
+    entries = std::max(entries, kMinLockTableEntries);
+    entries = std::min(entries, kMaxLockTableEntries);
     fatalIf(!isPow2(entries), "lock-table size must be a power of two");
     return entries;
 }
@@ -751,14 +751,14 @@ Stm::acquireSerialToken(DpuContext &ctx, TxDescriptor &tx)
         ctx.release(kSerialTokenKey);
         if (won)
             break;
-        ctx.delay(cfg_.serial_wait_cycles);
+        ctx.delay(kSerialWaitCycles);
     }
     // Quiesce: new transactions now park in txStart, so waiting for the
     // in-flight count to drain gives this tasklet exclusive access.
     // Every in-flight transaction finishes in bounded simulated time
     // (all STM waits are bounded polls), so this loop terminates.
     while (active_txs_ != 0)
-        ctx.delay(cfg_.serial_wait_cycles);
+        ctx.delay(kSerialWaitCycles);
 }
 
 void
@@ -780,7 +780,7 @@ Stm::txStart(DpuContext &ctx, TxDescriptor &tx)
     // A single always-false compare when throttling is off.
     while (tasklet_limit_ != 0 && tx.tasklet() >= tasklet_limit_) {
         ++stats_.park_polls;
-        ctx.delay(cfg_.park_poll_cycles);
+        ctx.delay(kParkPollCycles);
     }
     // Live kind switch (docs/adaptive.md): park until the in-flight
     // transactions drain (each finishes in bounded simulated time).
@@ -790,7 +790,7 @@ Stm::txStart(DpuContext &ctx, TxDescriptor &tx)
     // yet, so no transaction straddles the switch.
     if (pending_ >= 0) {
         while (pending_ >= 0 && active_txs_ != 0)
-            ctx.delay(cfg_.serial_wait_cycles);
+            ctx.delay(kSerialWaitCycles);
         if (pending_ >= 0)
             switchKind(ctx);
     }
@@ -806,7 +806,7 @@ Stm::txStart(DpuContext &ctx, TxDescriptor &tx)
         // park here; a single always-false compare when the fallback
         // is disabled.
         while (serial_owner_ >= 0)
-            ctx.delay(cfg_.serial_wait_cycles);
+            ctx.delay(kSerialWaitCycles);
     }
     ++stats_.starts;
     if (cfg_.trace) {

@@ -93,6 +93,25 @@ metadataTierName(MetadataTier t)
     return t == MetadataTier::Wram ? "WRAM" : "MRAM";
 }
 
+/** @{ Fixed STM sizing and polling constants. */
+/** Bounds of the ORec lock-table size, in entries. */
+constexpr u32 kMinLockTableEntries = 64;
+constexpr u32 kMaxLockTableEntries = 64 * 1024;
+/** Cycles NOrec stalls per poll while the seqlock is held. */
+constexpr Cycles kNorecWaitCycles = 32;
+/** Poll interval while waiting for the serial token to free / for
+ * in-flight transactions to quiesce. */
+constexpr Cycles kSerialWaitCycles = 128;
+/** Cycles per poll while parked by the dynamic tasklet throttle
+ * (Stm::setTaskletLimit). */
+constexpr Cycles kParkPollCycles = 512;
+/** Polls of a held abstract lock (StmConfig::cm_wait_cycles apart)
+ * before the boosted operation gives up and aborts the transaction —
+ * the boosting analogue of cm_wait_polls, always on because waiting
+ * is the point of abstract locks. */
+constexpr unsigned kBoostWaitPolls = 64;
+/** @} */
+
 /** Per-instance STM configuration. */
 struct StmConfig
 {
@@ -108,12 +127,10 @@ struct StmConfig
 
     /**
      * Shared-data footprint hint in 32-bit words; the ORec lock table is
-     * sized to nextPow2(hint), clamped to [min,max]_lock_table_entries.
-     * Ignored by NOrec, which has no lock table.
+     * sized to nextPow2(hint), clamped to [kMinLockTableEntries,
+     * kMaxLockTableEntries]. Ignored by NOrec, which has no lock table.
      */
     u32 data_words_hint = 1024;
-    u32 min_lock_table_entries = 64;
-    u32 max_lock_table_entries = 64 * 1024;
     /** Non-zero overrides the hint-derived lock-table size (A1). */
     u32 lock_table_entries_override = 0;
 
@@ -127,9 +144,6 @@ struct StmConfig
     /** NOrec's wait-until-seqlock-free at start (contention manager).
      * Switchable for the A2 ablation. */
     bool norec_start_wait = true;
-
-    /** Cycles NOrec stalls per poll while the seqlock is held. */
-    Cycles norec_wait_cycles = 32;
 
     /**
      * Randomized exponential back-off after an abort. On real hardware
@@ -153,10 +167,6 @@ struct StmConfig
      * cannot be undone); see docs/robustness.md.
      */
     unsigned serial_fallback_after = 0;
-
-    /** Poll interval while waiting for the serial token to free / for
-     * in-flight transactions to quiesce. */
-    Cycles serial_wait_cycles = 128;
 
     /** Optional transaction event trace (not owned; may be null). */
     TraceBuffer *trace = nullptr;
@@ -182,12 +192,6 @@ struct StmConfig
      */
     bool boosting = false;
 
-    /** Polls of a held abstract lock (cm_wait_cycles apart) before the
-     * boosted operation gives up and aborts the transaction — the
-     * boosting analogue of cm_wait_polls, always on because waiting is
-     * the point of abstract locks. */
-    unsigned boost_wait_polls = 64;
-
     /**
      * Durable transactions (docs/durability.md): commits become
      * crash-atomic against injected whole-DPU power loss (fault plan
@@ -210,10 +214,6 @@ struct StmConfig
      * with every knob at its default the charge sequence is bitwise
      * identical to a build without the adaptation subsystem (CI-gated).
      */
-    /** Cycles per poll while parked by the dynamic tasklet throttle
-     * (Stm::setTaskletLimit). */
-    Cycles park_poll_cycles = 512;
-
     /**
      * Capacity, in entries, of the WRAM hot-lock cache used by the
      * hot-metadata migration knob. 0 disables migration and keeps
@@ -465,7 +465,7 @@ class Stm final
     void setCmWaitCycles(Cycles cycles) { cfg_.cm_wait_cycles = cycles; }
     /**
      * Dynamic tasklet throttle: tasklets with id >= @p limit park at
-     * their next txStart (polling every park_poll_cycles) until the
+     * their next txStart (polling every kParkPollCycles) until the
      * limit is raised. 0 = off. Parking happens at a scheduler-safe
      * point — never inside a transaction, and before a pending kind
      * switch's quiesce — so no ownership records are held while parked.

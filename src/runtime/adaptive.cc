@@ -151,14 +151,14 @@ decideThrottle(ControllerState &st, const EpochSample &s,
     }
 
     const double waste = s.wasteShare(effective);
-    if (waste > spec.throttle_high) {
+    if (waste > kThrottleHigh) {
         ++st.high_streak;
         st.low_streak = 0;
         if (!st.throttle_hold &&
             st.high_streak >= spec.hysteresis_epochs &&
-            effective > spec.min_tasklets) {
+            effective > kMinTasklets) {
             const unsigned next =
-                std::max(spec.min_tasklets, effective * 2 / 3);
+                std::max(kMinTasklets, effective * 2 / 3);
             st.throttle_probe = true;
             st.pre_throttle_limit = st.tasklet_limit;
             st.pre_throttle_rate = s.commitRate();
@@ -167,7 +167,7 @@ decideThrottle(ControllerState &st, const EpochSample &s,
             out.push_back({st.epoch, 0, AdaptiveAction::ThrottleDown,
                            static_cast<double>(next), waste});
         }
-    } else if (waste < spec.throttle_low) {
+    } else if (waste < kThrottleLow) {
         ++st.low_streak;
         st.high_streak = 0;
         st.throttle_hold = false; // pressure episode over
@@ -240,11 +240,11 @@ decideBackoff(ControllerState &st, const EpochSample &s,
             !st.backoff_hold) {
             st.pressure_streak = 0;
             if (st.cm_wait_polls == 0) {
-                st.cm_wait_polls = spec.cm_polls;
+                st.cm_wait_polls = kCmPolls;
                 st.cm_probe = true;
                 st.pre_raise_rate = s.commitRate();
                 out.push_back({st.epoch, 0, AdaptiveAction::EnableCmWait,
-                               static_cast<double>(spec.cm_polls), rate});
+                               static_cast<double>(kCmPolls), rate});
             } else if (backoff_dominated &&
                        st.backoff_base < spec.backoff_base_max) {
                 st.backoff_base = std::min<Cycles>(
@@ -310,7 +310,7 @@ decideKind(ControllerState &st, const EpochSample &s,
     // Phase change: the incumbent used to do much better than now —
     // what we learned about the other kinds is stale too, so re-probe.
     if (st.kind_best[cur] > 0 &&
-        st.kind_score[cur] < spec.reexplore_ratio * st.kind_best[cur]) {
+        st.kind_score[cur] < kReexploreRatio * st.kind_best[cur]) {
         for (core::StmKind k : spec.kind_candidates) {
             if (k != st.current_kind)
                 st.kind_tried[kindIndex(k)] = false;
@@ -339,9 +339,9 @@ decideKind(ControllerState &st, const EpochSample &s,
     }
     if (best != cur &&
         st.kind_score[best] >
-            st.kind_score[cur] * (1.0 + spec.kind_switch_margin)) {
+            st.kind_score[cur] * (1.0 + kKindSwitchMargin)) {
         st.current_kind = static_cast<core::StmKind>(best);
-        st.cooldown = spec.kind_cooldown_epochs;
+        st.cooldown = kKindCooldownEpochs;
         out.push_back({st.epoch, 0, AdaptiveAction::SwitchKind,
                        static_cast<double>(best),
                        st.kind_score[cur] > 0
@@ -519,7 +519,7 @@ AdaptiveController::onEpoch()
         last_heat_ = heat;
         std::vector<u32> promote, demote;
         pickMigrations(delta, hot_flags_, stm_.hotLockCapacity(),
-                       spec_.min_heat, promote, demote);
+                       kMinHeat, promote, demote);
         if (!promote.empty() || !demote.empty()) {
             stm_.migrateLocks(promote, demote);
             report_->promotions += promote.size();

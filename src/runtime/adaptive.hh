@@ -75,6 +75,28 @@ AdaptiveResult adaptiveRun(const AdaptiveFactory &factory,
 // WRAM migration, and live STM-kind switching.
 //
 
+/** @{ Fixed policy constants of the controller (docs/adaptive.md). */
+/** Tasklet-throttle band on the share of tasklet cycles wasted on
+ * backoff + lock waits (EpochSample::wasteShare): park above high,
+ * unpark below low, never below kMinTasklets. */
+constexpr double kThrottleHigh = 0.5;
+constexpr double kThrottleLow = 0.1;
+constexpr unsigned kMinTasklets = 2;
+/** Wait-on-contention poll budget the backoff policy enables when
+ * conflict aborts dominate. */
+constexpr unsigned kCmPolls = 3;
+/** Kind policy (explore-then-commit with EWMA scores): a switch needs
+ * a candidate kKindSwitchMargin better (relative); after a switch the
+ * policy holds for kKindCooldownEpochs; an incumbent score collapse
+ * below kReexploreRatio x its best restarts exploration. */
+constexpr double kKindSwitchMargin = 0.10;
+constexpr unsigned kKindCooldownEpochs = 4;
+constexpr double kReexploreRatio = 0.5;
+/** Minimum per-epoch heat that qualifies a lock-table entry for
+ * promotion to the WRAM hot-lock cache. */
+constexpr u32 kMinHeat = 32;
+/** @} */
+
 /** Per-epoch deltas of the contention signals the controller reads. */
 struct EpochSample
 {
@@ -209,8 +231,8 @@ struct ControllerState
     /** @} */
 
     /** @{ Hysteresis streaks. */
-    unsigned high_streak = 0;     // waste above throttle_high
-    unsigned low_streak = 0;      // waste below throttle_low
+    unsigned high_streak = 0;     // waste above kThrottleHigh
+    unsigned low_streak = 0;      // waste below kThrottleLow
     unsigned pressure_streak = 0; // abort rate above 0.5
     unsigned calm_streak = 0;     // abort rate below 0.05
     /** @} */
@@ -218,7 +240,7 @@ struct ControllerState
     /** @{ Kind policy: explore-then-commit over EWMA scores (commits
      * per 1000 cycles). kind_best remembers each kind's high-water
      * mark; a collapse of the current kind's score below
-     * reexplore_ratio x its best restarts exploration. */
+     * kReexploreRatio x its best restarts exploration. */
     std::array<double, core::kNumStmKinds> kind_score{};
     std::array<double, core::kNumStmKinds> kind_best{};
     std::array<bool, core::kNumStmKinds> kind_tried{};

@@ -106,7 +106,7 @@ AbstractLockManager::acquireStripe(TxHandle &tx, u32 stripe,
             chargeUpdate(ctx);
             return;
         }
-        if (poll >= cfg.boost_wait_polls)
+        if (poll >= core::kBoostWaitPolls)
             break;
         ++stm_.stats().boosted_waits;
         if (cfg.trace) {

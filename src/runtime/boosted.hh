@@ -14,7 +14,7 @@
  *  - Abstract locks are strict two-phase: acquired before the
  *    operation applies, released only by the Stm commit/abort wrappers
  *    (core::SemanticLockOwner), in reverse acquisition order.
- *  - A held stripe is polled StmConfig::boost_wait_polls times,
+ *  - A held stripe is polled core::kBoostWaitPolls times,
  *    cm_wait_cycles apart; on timeout the transaction aborts with
  *    AbortReason::BoostTimeout and retries through the normal
  *    atomically() loop (back-off breaks symmetric deadlocks).

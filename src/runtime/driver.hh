@@ -88,34 +88,13 @@ struct AdaptiveSpec
      * (hysteresis against flapping). */
     unsigned hysteresis_epochs = 2;
 
-    /** @{ Tasklet-throttle thresholds on the share of tasklet cycles
-     * wasted on backoff + lock waits (EpochSample::wasteShare); park
-     * above high, unpark below low. */
-    double throttle_high = 0.5;
-    double throttle_low = 0.1;
-    unsigned min_tasklets = 2;
-    /** @} */
-
-    /** Wait-on-contention poll budget the backoff policy enables when
-     * conflict aborts dominate. */
-    unsigned cm_polls = 3;
     /** Ceiling for the doubling backoff base. */
     Cycles backoff_base_max = 256;
 
-    /** @{ Kind policy: explore-then-commit with EWMA scores. A switch
-     * needs a candidate this much better (relative); after a switch
-     * the policy holds for cooldown epochs; a current-kind score
-     * collapse below reexplore_ratio x its best restarts exploration. */
-    double kind_switch_margin = 0.10;
-    unsigned kind_cooldown_epochs = 4;
-    double reexplore_ratio = 0.5;
-    /** @} */
-
-    /** @{ Hot-lock migration: WRAM cache capacity (entries) and the
-     * minimum per-epoch heat that qualifies an entry for promotion. */
+    /** Hot-lock migration: WRAM cache capacity in entries. The fixed
+     * policy constants (throttle band, CM poll budget, kind-switch
+     * margin, promotion heat) live in runtime/adaptive.hh. */
     u32 hot_lock_capacity = 16;
-    u32 min_heat = 32;
-    /** @} */
 };
 
 struct AdaptiveReport; // defined in runtime/adaptive.hh

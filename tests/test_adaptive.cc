@@ -222,7 +222,7 @@ TEST(AdaptiveDecide, CmWaitProbeRevertsAndHolds)
     auto d = feed(st, pressure, spec, 2);
     ASSERT_EQ(d.size(), 1u);
     EXPECT_EQ(d[0].action, AdaptiveAction::EnableCmWait);
-    EXPECT_EQ(st.cm_wait_polls, spec.cm_polls);
+    EXPECT_EQ(st.cm_wait_polls, kCmPolls);
     EXPECT_TRUE(st.cm_probe);
 
     // Waiting did not buy commit rate: revert, hold for the episode.
@@ -303,7 +303,7 @@ TEST(AdaptiveDecide, KindExploreThenCommitThenReexplore)
     EXPECT_TRUE(feed(st, abortSample(300, 0), spec).empty());
     EXPECT_EQ(st.current_kind, core::StmKind::TinyEtlWb);
 
-    // Phase change: the incumbent collapses below reexplore_ratio x
+    // Phase change: the incumbent collapses below kReexploreRatio x
     // its high-water mark -> the policy re-probes the other kind.
     feed(st, abortSample(30, 0), spec); // EWMA 1.65, above 0.5*3.0
     d = feed(st, abortSample(30, 0), spec); // EWMA 0.975: collapse
@@ -426,8 +426,7 @@ TEST(AdaptivePark, ThrottleConservesTransactions)
     ASSERT_NE(r.adaptive, nullptr);
     for (const AdaptiveDecision &d : r.adaptive->decisions) {
         if (d.action == AdaptiveAction::ThrottleDown) {
-            EXPECT_GE(static_cast<unsigned>(d.value),
-                      spec.adaptive.min_tasklets);
+            EXPECT_GE(static_cast<unsigned>(d.value), kMinTasklets);
             EXPECT_LT(static_cast<unsigned>(d.value), 16u);
         } else if (d.action == AdaptiveAction::ThrottleUp) {
             EXPECT_LE(static_cast<unsigned>(d.value), 16u);
