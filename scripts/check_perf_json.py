@@ -9,6 +9,10 @@ the committed baseline exactly — any drift means a change altered
 simulated behaviour, which this repo treats as a hard failure unless
 the baseline is regenerated on purpose.
 
+The "adaptive", "boosted", "durable" and "serving" blocks are
+simulated state too: when both artifacts carry one, every field must
+match exactly.
+
 Host-side fields (wall_s, sim_cycles_per_wall_s, the "host" block,
 the hand-written "baseline" block, hardware_threads) vary run to run
 and machine to machine; they are reported but never gated.
@@ -24,6 +28,7 @@ from collections import Counter
 
 SIM_POINT_FIELDS = ("sim_cycles", "sched_switches", "sched_elisions")
 SIM_TOTAL_FIELDS = ("sim_cycles", "sched_switches", "sched_elisions")
+EXACT_BLOCKS = ("adaptive", "boosted", "durable", "serving")
 
 
 def load(path):
@@ -69,47 +74,31 @@ def main():
     if nb != nf:
         failures.append(f"point count: baseline {nb} != fresh {nf}")
 
-    # The epoch controller's decision log is simulated state too: when
-    # both artifacts carry an "adaptive" block it must match exactly
-    # (docs/adaptive.md) — any drift means adaptation decisions changed.
-    ba, fa = base.get("adaptive"), fresh.get("adaptive")
-    if ba is not None and fa is not None and ba != fa:
-        for field in ("epochs", "final_kind", "final_tasklet_limit",
-                      "promotions", "demotions"):
-            if ba.get(field) != fa.get(field):
-                failures.append(f"adaptive.{field}: baseline "
-                                f"{ba.get(field)} != fresh {fa.get(field)}")
-        bd, fd = ba.get("decisions", []), fa.get("decisions", [])
-        if bd != fd:
-            failures.append(f"adaptive.decisions: baseline {len(bd)} "
-                            f"decisions != fresh {len(fd)} (first "
-                            f"divergence at index "
-                            f"{next((i for i, (x, y) in enumerate(zip(bd, fd)) if x != y), min(len(bd), len(fd)))})")
-
-    # The durable subsystem's counters are simulated state as well
-    # (log bytes, fences, redo/undo decisions — docs/durability.md):
-    # when both artifacts carry a "durable" block it must match exactly.
-    b_dur, f_dur = base.get("durable"), fresh.get("durable")
-    if b_dur is not None and f_dur is not None and b_dur != f_dur:
-        for field in sorted(set(b_dur) | set(f_dur)):
-            if b_dur.get(field) != f_dur.get(field):
-                failures.append(f"durable.{field}: baseline "
-                                f"{b_dur.get(field)} != fresh "
-                                f"{f_dur.get(field)}")
-
-    # The serving layer runs entirely on simulated time (arrival
-    # clocks, batch budgets, histogram percentiles — docs/serving.md):
-    # when both artifacts carry a "serving" block it must match
-    # exactly. Any drift means admission, batching or backend cost
-    # changed.
-    b_srv, f_srv = base.get("serving"), fresh.get("serving")
-    if b_srv is not None and f_srv is not None and b_srv != f_srv:
-        for field in sorted(set(b_srv) | set(f_srv)):
-            if b_srv.get(field) != f_srv.get(field):
-                failures.append(f"serving.{field}: baseline "
-                                f"{json.dumps(b_srv.get(field))[:200]} "
-                                f"!= fresh "
-                                f"{json.dumps(f_srv.get(field))[:200]}")
+    # Blocks of simulated state, exact-match gated when both artifacts
+    # carry them: the epoch controller's decision log
+    # (docs/adaptive.md), the durable counters (log bytes, fences,
+    # redo/undo decisions; docs/durability.md), the serving layer's
+    # arrival clocks, batches and percentiles (docs/serving.md) and the
+    # boosting counters (docs/boosting.md). Any drift means simulated
+    # behaviour changed.
+    for block in EXACT_BLOCKS:
+        b_blk, f_blk = base.get(block), fresh.get(block)
+        if b_blk is None or f_blk is None or b_blk == f_blk:
+            continue
+        for field in sorted(set(b_blk) | set(f_blk)):
+            bv, fv = b_blk.get(field), f_blk.get(field)
+            if bv == fv:
+                continue
+            if isinstance(bv, list) and isinstance(fv, list):
+                first = next((i for i, (x, y) in enumerate(zip(bv, fv))
+                              if x != y), min(len(bv), len(fv)))
+                failures.append(f"{block}.{field}: baseline {len(bv)} "
+                                f"entries != fresh {len(fv)} (first "
+                                f"difference at index {first})")
+            else:
+                failures.append(f"{block}.{field}: baseline "
+                                f"{json.dumps(bv)[:200]} != fresh "
+                                f"{json.dumps(fv)[:200]}")
 
     # Host performance: informational only.
     bw = base.get("totals", {}).get("wall_s")
