@@ -374,9 +374,8 @@ main(int argc, char **argv)
                       << " decisions, " << r.stm.kind_switches
                       << " switches, " << r.stm.lock_migrations
                       << " migrations\n";
-            if (PerfReporter::instance().enabled())
-                PerfReporter::instance().setExtraBlock(
-                    "adaptive", reportJson(*r.adaptive));
+            PerfReporter::instance().setExtraBlock(
+                "adaptive", reportJson(*r.adaptive));
         }
 
         if (check) {

@@ -95,27 +95,33 @@ peakRssKb()
 }
 
 /**
- * One timed unit of host work for the perf artifact: a sweep point of
- * a figure harness, or a micro_sched scenario. Wall-clock is host time
- * and therefore machine-dependent and non-deterministic — it is only
- * ever written to the perf JSON, never to the simulated CSV output.
+ * One timed unit of host work for the perf artifact (a sweep point of
+ * a figure harness, a serving scenario, a micro_sched scenario) with
+ * the counters of the runs it timed, summed over them. The point's
+ * sim_cycles / sched_switches / sched_elisions are dpu's fields.
+ * Wall-clock is host time and therefore machine-dependent and
+ * non-deterministic — it is only ever written to the perf JSON, never
+ * to the simulated CSV output.
  */
 struct PerfRecord
 {
     std::string bench; ///< harness name (argv[0] basename)
     std::string label; ///< sweep point / scenario label
     double wall_s = 0; ///< host seconds spent on this unit
-    double sim_cycles = 0;  ///< simulated cycles produced
-    u64 sched_switches = 0; ///< fiber switches performed
-    u64 sched_elisions = 0; ///< switches elided by the scheduler
+    core::StmStats stm;
+    sim::DpuStats dpu;
+    /** Traces of the timed runs (empty unless traced). */
+    std::vector<std::shared_ptr<const core::TraceBuffer>> traces;
 };
 
 /**
- * Collector behind --perf-json=FILE: sweep points record their
- * wall-clock and simulated-cycle throughput as they finish (from any
- * pool thread), and the file is written once at process exit. CI
- * uploads it as the non-gating BENCH_sim.json artifact, so the
- * simulator's host-performance trajectory is tracked per commit.
+ * Collector behind --perf-json=FILE: units of work record their
+ * wall-clock and counters as they finish (from any pool thread), and
+ * the file is written once at process exit. Every counter block of
+ * the artifact is the sum over its points, so it describes exactly
+ * the work the points time. CI uploads it as the non-gating
+ * BENCH_sim.json artifact, so the simulator's host-performance
+ * trajectory is tracked per commit.
  */
 class PerfReporter
 {
@@ -139,13 +145,9 @@ class PerfReporter
         }
     }
 
-    bool
-    enabled() const
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        return !path_.empty();
-    }
-
+    /** Add one point and fold its counters into the sums (no-op
+     * unless --perf-json is on). Sums are order-independent, so the
+     * artifact does not depend on which pool thread finishes first. */
     void
     record(PerfRecord r)
     {
@@ -154,13 +156,19 @@ class PerfReporter
             return;
         if (r.bench.empty())
             r.bench = bench_;
+        stm_ += r.stm;
+        dpu_ += r.dpu;
+        for (const auto &t : r.traces)
+            trace_.add(*t);
+        r.traces.clear(); // folded: do not hold the buffers until exit
         records_.push_back(std::move(r));
     }
 
     /** Attach a named top-level JSON block (@p json must be one JSON
      * value, e.g. the `distributed` object from twoPcStatsJson).
-     * Written once, between the trace block and the totals; unknown
-     * blocks are ignored by scripts/check_perf_json.py's gate. */
+     * Written once, between the trace block and the totals (only
+     * under --perf-json); scripts/check_perf_json.py gates the blocks
+     * it names in EXACT_BLOCKS and ignores the rest. */
     void
     setExtraBlock(const std::string &name, std::string json)
     {
@@ -181,18 +189,11 @@ class PerfReporter
             return;
         }
         out.precision(17); // simulated-cycle fields must round-trip
-        double wall = 0, cycles = 0;
-        u64 switches = 0, elisions = 0;
-        for (const auto &r : records_) {
+        double wall = 0;
+        for (const auto &r : records_)
             wall += r.wall_s;
-            cycles += r.sim_cycles;
-            switches += r.sched_switches;
-            elisions += r.sched_elisions;
-        }
         const auto pool = runtime::DpuPool::global().stats();
         const auto idx = core::txIndexTotals();
-        const auto flt = sim::faultTotals();
-        const auto trc = core::traceTotals();
         out << "{\n  \"bench\": \"" << escape(bench_) << "\",\n"
             << "  \"hardware_threads\": "
             << std::thread::hardware_concurrency() << ",\n"
@@ -211,63 +212,65 @@ class PerfReporter
                     : 0)
             << ", \"txindex_max_probe\": " << idx.max_probe
             << ", \"faults\": {"
-            << "\"injected_stalls\": " << flt.injected_stalls
-            << ", \"injected_acq_delays\": " << flt.injected_acq_delays
-            << ", \"tasklet_crashes\": " << flt.tasklet_crashes
-            << ", \"injected_aborts\": " << flt.injected_aborts
-            << ", \"escalations\": " << flt.escalations
-            << ", \"serial_commits\": " << flt.serial_commits << "}},\n";
-        if (trc.runs > 0)
-            writeTraceBlock(out, trc);
-        const auto bst = core::boostedTotals();
-        if (bst.acquires != 0 || bst.waits != 0 ||
-            bst.semantic_undos != 0) {
-            out << "  \"boosted\": {\"acquires\": " << bst.acquires
-                << ", \"waits\": " << bst.waits
-                << ", \"semantic_undos\": " << bst.semantic_undos
+            << "\"injected_stalls\": " << dpu_.injected_stalls
+            << ", \"injected_acq_delays\": " << dpu_.injected_acq_delays
+            << ", \"tasklet_crashes\": " << dpu_.tasklet_crashes
+            << ", \"injected_aborts\": " << stm_.injected_aborts
+            << ", \"escalations\": " << stm_.escalations
+            << ", \"serial_commits\": " << stm_.serial_commits << "}},\n";
+        if (trace_.runs > 0)
+            writeTraceBlock(out, trace_);
+        if (stm_.boosted_acquires != 0 || stm_.boosted_waits != 0 ||
+            stm_.semantic_undos != 0) {
+            out << "  \"boosted\": {\"acquires\": " << stm_.boosted_acquires
+                << ", \"waits\": " << stm_.boosted_waits
+                << ", \"semantic_undos\": " << stm_.semantic_undos
                 << ", \"false_conflicts_avoided\": "
-                << bst.false_conflicts_avoided << "},\n";
+                << stm_.false_conflicts_avoided << "},\n";
         }
-        const auto dur = core::durableTotals();
-        if (dur.flush_fences != 0 || dur.recoveries != 0 ||
-            dur.log_appends != 0) {
-            out << "  \"durable\": {\"log_bytes\": " << dur.log_bytes
-                << ", \"log_appends\": " << dur.log_appends
-                << ", \"flush_fences\": " << dur.flush_fences
-                << ", \"durable_commits\": " << dur.durable_commits
-                << ", \"recoveries\": " << dur.recoveries
-                << ", \"log_redone\": " << dur.log_redone
-                << ", \"log_undone\": " << dur.log_undone
-                << ", \"log_discarded\": " << dur.log_discarded
-                << ", \"torn_logs\": " << dur.torn_logs << "},\n";
+        if (stm_.flush_fences != 0 || stm_.recoveries != 0 ||
+            stm_.log_appends != 0) {
+            out << "  \"durable\": {\"log_bytes\": " << stm_.log_bytes
+                << ", \"log_appends\": " << stm_.log_appends
+                << ", \"flush_fences\": " << stm_.flush_fences
+                << ", \"durable_commits\": " << stm_.durable_commits
+                << ", \"recoveries\": " << stm_.recoveries
+                << ", \"log_redone\": " << stm_.log_redone
+                << ", \"log_undone\": " << stm_.log_undone
+                << ", \"log_discarded\": " << stm_.log_discarded
+                << ", \"torn_logs\": " << stm_.torn_logs << "},\n";
         }
         for (const auto &[name, json] : extra_blocks_)
             out << "  \"" << escape(name) << "\": " << json << ",\n";
-        out << "  \"totals\": {"
-            << "\"wall_s\": " << wall
-            << ", \"sim_cycles\": " << cycles
-            << ", \"sim_cycles_per_wall_s\": "
-            << (wall > 0 ? cycles / wall : 0)
-            << ", \"sched_switches\": " << switches
-            << ", \"sched_elisions\": " << elisions << "},\n"
-            << "  \"points\": [\n";
+        out << "  \"totals\": {";
+        writeCycles(out, wall, dpu_);
+        out << ",\n  \"points\": [\n";
         for (size_t i = 0; i < records_.size(); ++i) {
             const auto &r = records_[i];
             out << "    {\"bench\": \"" << escape(r.bench)
-                << "\", \"label\": \"" << escape(r.label)
-                << "\", \"wall_s\": " << r.wall_s
-                << ", \"sim_cycles\": " << r.sim_cycles
-                << ", \"sim_cycles_per_wall_s\": "
-                << (r.wall_s > 0 ? r.sim_cycles / r.wall_s : 0)
-                << ", \"sched_switches\": " << r.sched_switches
-                << ", \"sched_elisions\": " << r.sched_elisions << "}"
-                << (i + 1 < records_.size() ? "," : "") << "\n";
+                << "\", \"label\": \"" << escape(r.label) << "\", ";
+            writeCycles(out, r.wall_s, r.dpu);
+            out << (i + 1 < records_.size() ? "," : "") << "\n";
         }
         out << "  ]\n}\n";
         path_.clear(); // write once
     }
 
   private:
+    /** The wall/cycle/scheduler fields shared by a point and the
+     * totals, closing the object. */
+    static void
+    writeCycles(std::ostream &out, double wall_s, const sim::DpuStats &d)
+    {
+        const auto cycles = static_cast<double>(d.total_cycles);
+        out << "\"wall_s\": " << wall_s
+            << ", \"sim_cycles\": " << d.total_cycles
+            << ", \"sim_cycles_per_wall_s\": "
+            << (wall_s > 0 ? cycles / wall_s : 0)
+            << ", \"sched_switches\": " << d.sched_switches
+            << ", \"sched_elisions\": " << d.sched_elisions << "}";
+    }
+
     static std::string
     escape(const std::string &s)
     {
@@ -367,6 +370,11 @@ class PerfReporter
     std::string path_;
     std::string bench_;
     std::vector<PerfRecord> records_;
+    /** @{ Sums over records_. */
+    core::StmStats stm_;
+    sim::DpuStats dpu_;
+    core::TraceTotals trace_;
+    /** @} */
     std::map<std::string, std::string> extra_blocks_;
     bool registered_ = false;
 };
@@ -796,13 +804,6 @@ struct PointResult
 
     /** Extra workload metrics, averaged. */
     std::map<std::string, double> extra;
-
-    /** @{ Host-perf bookkeeping for --perf-json (summed over seeds;
-     * never printed to the simulated tables/CSV). */
-    double sim_cycles_total = 0;
-    u64 sched_switches_total = 0;
-    u64 sched_elisions_total = 0;
-    /** @} */
 };
 
 using runtime::WorkloadFactory;
@@ -837,12 +838,14 @@ runPoint(const WorkloadFactory &factory, core::StmKind kind,
                                       t0)
             .count();
 
-    const std::string point_label =
-        std::string(core::stmKindName(kind)) + "/" +
-        core::metadataTierName(tier) + "/t" + std::to_string(tasklets) +
-        (base.boosting ? "/boosted" : "") +
-        (base.adaptive.enabled ? "/adaptive" : "") +
-        (base.durable ? "/durable" : "");
+    PerfRecord rec;
+    rec.label = std::string(core::stmKindName(kind)) + "/" +
+                core::metadataTierName(tier) + "/t" +
+                std::to_string(tasklets) +
+                (base.boosting ? "/boosted" : "") +
+                (base.adaptive.enabled ? "/adaptive" : "") +
+                (base.durable ? "/durable" : "");
+    rec.wall_s = wall_s;
 
     std::vector<double> tputs, aborts, apps;
     std::array<std::vector<double>, sim::kNumPhases> shares;
@@ -863,12 +866,12 @@ runPoint(const WorkloadFactory &factory, core::StmKind kind,
             shares[p].push_back(r.phase_share[p]);
         for (const auto &[k, v] : r.extra)
             extras[k].push_back(v);
-        pr.sim_cycles_total += static_cast<double>(r.dpu.total_cycles);
-        pr.sched_switches_total += r.dpu.sched_switches;
-        pr.sched_elisions_total += r.dpu.sched_elisions;
-        if (r.trace && TraceFileWriter::instance().enabled()) {
+        rec.stm += r.stm;
+        rec.dpu += r.dpu;
+        if (r.trace) {
+            rec.traces.push_back(r.trace);
             TraceFileWriter::instance().add(
-                *r.trace, point_label + "/seed" + std::to_string(s));
+                *r.trace, rec.label + "/seed" + std::to_string(s));
         }
     }
     pr.throughput_mean = mean(tputs);
@@ -879,17 +882,36 @@ runPoint(const WorkloadFactory &factory, core::StmKind kind,
         pr.phase_share[p] = mean(shares[p]);
     for (auto &[k, v] : extras)
         pr.extra[k] = mean(v);
-
-    if (PerfReporter::instance().enabled()) {
-        PerfRecord rec;
-        rec.label = point_label;
-        rec.wall_s = wall_s;
-        rec.sim_cycles = pr.sim_cycles_total;
-        rec.sched_switches = pr.sched_switches_total;
-        rec.sched_elisions = pr.sched_elisions_total;
-        PerfReporter::instance().record(std::move(rec));
-    }
+    PerfReporter::instance().record(std::move(rec));
     return pr;
+}
+
+/** runtime::runWorkload, timed: returns the host seconds it took and
+ * leaves the result in @p out. */
+inline double
+timedRun(runtime::Workload &wl, const runtime::RunSpec &spec,
+         runtime::RunResult &out)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    out = runtime::runWorkload(wl, spec);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+/** Record one run as its own --perf-json point. */
+inline void
+recordRun(const std::string &label, double wall_s,
+          const runtime::RunResult &r)
+{
+    PerfRecord rec;
+    rec.label = label;
+    rec.wall_s = wall_s;
+    rec.stm = r.stm;
+    rec.dpu = r.dpu;
+    if (r.trace)
+        rec.traces.push_back(r.trace);
+    PerfReporter::instance().record(std::move(rec));
 }
 
 /** Default tasklet-count series used by the figures. */

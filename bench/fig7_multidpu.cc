@@ -159,6 +159,7 @@ kvStudy(const BenchOptions &opt)
     Table table({"shards", "batch_ops", "moveks", "tx_commits",
                  "sim_s", "ops_per_sim_s", "prep_rounds",
                  "commit_rounds", "occupancy"});
+    TwoPcStats distributed; // summed over the instances below
     for (unsigned shards : shard_series) {
         DistributedKvConfig cfg;
         cfg.shards = shards;
@@ -225,17 +226,15 @@ kvStudy(const BenchOptions &opt)
             .cell(st.commit_rounds)
             .cell(st.meanShardOccupancy(), 4);
 
-        if (PerfReporter::instance().enabled()) {
-            PerfRecord rec;
-            rec.label = "kv/s" + std::to_string(shards);
-            rec.wall_s = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - wall0)
-                             .count();
-            rec.sim_cycles = static_cast<double>(kv.simCycles());
-            rec.sched_switches = kv.schedSwitches();
-            rec.sched_elisions = kv.schedElisions();
-            PerfReporter::instance().record(std::move(rec));
-        }
+        distributed += st;
+        PerfRecord rec;
+        rec.label = "kv/s" + std::to_string(shards);
+        rec.wall_s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - wall0)
+                         .count();
+        rec.stm = kv.stmStats();
+        rec.dpu = kv.dpuStats();
+        PerfReporter::instance().record(std::move(rec));
     }
     std::cout << "== Fig 7c  DistributedKv cross-shard scaling "
                  "(2PC movek) ==\n";
@@ -245,10 +244,8 @@ kvStudy(const BenchOptions &opt)
         table.printText(std::cout);
     std::cout << "\n";
 
-    if (PerfReporter::instance().enabled()) {
-        PerfReporter::instance().setExtraBlock(
-            "distributed", twoPcStatsJson(twoPcTotals()));
-    }
+    PerfReporter::instance().setExtraBlock("distributed",
+                                           twoPcStatsJson(distributed));
 }
 
 } // namespace

@@ -111,7 +111,24 @@ struct ModeResult
     u64 tx_commits = 0;
     double sim_s = 0;
     double ops_per_s = 0;
+    TwoPcStats twopc; ///< the instance's stats()
 };
+
+/** Record @p kv's run as one --perf-json point. */
+void
+recordKv(const std::string &label,
+         std::chrono::steady_clock::time_point wall0,
+         const DistributedKv &kv)
+{
+    PerfRecord rec;
+    rec.label = label;
+    rec.wall_s = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - wall0)
+                     .count();
+    rec.stm = kv.stmStats();
+    rec.dpu = kv.dpuStats();
+    PerfReporter::instance().record(std::move(rec));
+}
 
 /** Run @p workload with each movek as a serialized moveKeySerialized
  * (the pre-2PC escape hatch: two full drains per movek). */
@@ -131,18 +148,8 @@ runSerialized(const std::vector<Batch> &workload, unsigned shards,
     }
     r.sim_s = kv.elapsedSeconds();
     r.ops_per_s = static_cast<double>(r.items) / r.sim_s;
-
-    if (PerfReporter::instance().enabled()) {
-        PerfRecord rec;
-        rec.label = "serialized/s" + std::to_string(shards);
-        rec.wall_s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - wall0)
-                         .count();
-        rec.sim_cycles = static_cast<double>(kv.simCycles());
-        rec.sched_switches = kv.schedSwitches();
-        rec.sched_elisions = kv.schedElisions();
-        PerfReporter::instance().record(std::move(rec));
-    }
+    r.twopc = kv.stats();
+    recordKv("serialized/s" + std::to_string(shards), wall0, kv);
     return r;
 }
 
@@ -162,18 +169,8 @@ runTwoPc(const std::vector<Batch> &workload, unsigned shards,
     }
     r.sim_s = kv.elapsedSeconds();
     r.ops_per_s = static_cast<double>(r.items) / r.sim_s;
-
-    if (PerfReporter::instance().enabled()) {
-        PerfRecord rec;
-        rec.label = "2pc/s" + std::to_string(shards);
-        rec.wall_s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - wall0)
-                         .count();
-        rec.sim_cycles = static_cast<double>(kv.simCycles());
-        rec.sched_switches = kv.schedSwitches();
-        rec.sched_elisions = kv.schedElisions();
-        PerfReporter::instance().record(std::move(rec));
-    }
+    r.twopc = kv.stats();
+    recordKv("2pc/s" + std::to_string(shards), wall0, kv);
     return r;
 }
 
@@ -201,12 +198,15 @@ main(int argc, char **argv)
                      "speedup"});
         std::vector<double> twopc_ops_per_s;
         double speedup_at_64 = 0;
+        TwoPcStats distributed; // summed over every instance
         for (unsigned shards : kShardSeries) {
             const auto workload = makeWorkload(
                 shards, shards * per_shard, batches, 1);
             const ModeResult serial =
                 runSerialized(workload, shards, opt);
             const ModeResult twopc = runTwoPc(workload, shards, opt);
+            distributed += serial.twopc;
+            distributed += twopc.twopc;
             panicIf(serial.tx_commits != twopc.tx_commits &&
                         opt.faults.empty(),
                     "micro_2pc: modes disagree on committed moveks");
@@ -232,10 +232,8 @@ main(int argc, char **argv)
             table.printText(std::cout);
         std::cout << "\n";
 
-        if (PerfReporter::instance().enabled()) {
-            PerfReporter::instance().setExtraBlock(
-                "distributed", twoPcStatsJson(twoPcTotals()));
-        }
+        PerfReporter::instance().setExtraBlock(
+            "distributed", twoPcStatsJson(distributed));
 
         if (check) {
             int failures = 0;

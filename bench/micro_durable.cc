@@ -21,8 +21,6 @@
  * scripts/check_perf_json.py.
  */
 
-#include <chrono>
-
 #include "bench/common.hh"
 #include "core/stm_factory.hh"
 #include "runtime/shared_array.hh"
@@ -124,32 +122,6 @@ class TransferWorkload : public runtime::Workload
     runtime::SharedArray32 accounts_;
 };
 
-double
-timedRun(runtime::Workload &wl, const runtime::RunSpec &spec,
-         runtime::RunResult &out)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    out = runtime::runWorkload(wl, spec);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
-
-void
-recordPoint(const std::string &label, double wall_s,
-            const runtime::RunResult &r)
-{
-    if (!PerfReporter::instance().enabled())
-        return;
-    PerfRecord rec;
-    rec.label = label;
-    rec.wall_s = wall_s;
-    rec.sim_cycles = static_cast<double>(r.dpu.total_cycles);
-    rec.sched_switches = r.dpu.sched_switches;
-    rec.sched_elisions = r.dpu.sched_elisions;
-    PerfReporter::instance().record(std::move(rec));
-}
-
 /** Fault-free transfer run per kind, durable off vs on: what the
  * persist protocol costs when nothing ever crashes. */
 void
@@ -171,15 +143,15 @@ durabilityCost(const BenchOptions &opt)
         TransferWorkload off_wl(params);
         runtime::RunResult off;
         const double off_wall = timedRun(off_wl, spec, off);
-        recordPoint(std::string(core::stmKindName(kind)) + "/cost/off",
-                    off_wall, off);
+        recordRun(std::string(core::stmKindName(kind)) + "/cost/off",
+                  off_wall, off);
 
         spec.durable = true;
         TransferWorkload on_wl(params);
         runtime::RunResult on;
         const double on_wall = timedRun(on_wl, spec, on);
-        recordPoint(std::string(core::stmKindName(kind)) + "/cost/on",
-                    on_wall, on);
+        recordRun(std::string(core::stmKindName(kind)) + "/cost/on",
+                  on_wall, on);
 
         fatalIf(on.stm.commits == 0 || on.stm.flush_fences == 0,
                 "durable run under ", core::stmKindName(kind),
@@ -248,9 +220,9 @@ crashMatrix(const BenchOptions &opt)
             TransferWorkload wl(params);
             runtime::RunResult r;
             const double wall = timedRun(wl, spec, r);
-            recordPoint(std::string(core::stmKindName(kind)) +
-                            "/crash/" + p.label,
-                        wall, r);
+            recordRun(std::string(core::stmKindName(kind)) + "/crash/" +
+                          p.label,
+                      wall, r);
             if (r.trace && TraceFileWriter::instance().enabled()) {
                 // Feeds the recovery timeline of trace_report.py:
                 // each crash shows up as a "recovery" instant with

@@ -223,9 +223,7 @@ main(int argc, char **argv)
         bench::PerfRecord rec;
         rec.label = s.name;
         rec.wall_s = elided.wall_s;
-        rec.sim_cycles = static_cast<double>(elided.stats.total_cycles);
-        rec.sched_switches = elided.stats.sched_switches;
-        rec.sched_elisions = elided.stats.sched_elisions;
+        rec.dpu = elided.stats;
         bench::PerfReporter::instance().record(std::move(rec));
     }
 

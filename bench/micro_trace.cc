@@ -17,9 +17,10 @@
  *    tracing on; the trace aggregates must agree with StmStats (aborts
  *    by reason, commit counts), demonstrating the heatmap and the
  *    histograms measure the same run the stats do.
+ *
+ * With --perf-json=F every run is a point, and the artifact's `trace`
+ * block sums the traced ones.
  */
-
-#include <chrono>
 
 #include "bench/common.hh"
 #include "workloads/arraybench.hh"
@@ -68,17 +69,6 @@ expectTraceMatchesStats(const runtime::RunResult &r)
             "tx-latency histogram count diverges from commits");
 }
 
-double
-timedRun(runtime::Workload &wl, const runtime::RunSpec &spec,
-         runtime::RunResult &out)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    out = runtime::runWorkload(wl, spec);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
-
 /** Off-mode noise floor and on-mode recording cost on the Fig. 4
  * fast path. */
 void
@@ -97,13 +87,19 @@ traceOverhead(const BenchOptions &opt)
     const int reps = opt.full ? 5 : 3;
     double best_off = 1e300, best_off2 = 1e300, best_on = 1e300;
     runtime::RunResult r_off, r_off2, r_on;
+    // One timed, recorded run; returns its wall time.
+    const auto run = [&](const char *label, const runtime::RunSpec &spec,
+                         runtime::RunResult &out) {
+        ArrayBench wl(ArrayBenchParams::workloadA(tx));
+        const double wall = timedRun(wl, spec, out);
+        recordRun(label, wall, out);
+        return wall;
+    };
     for (int i = 0; i < reps; ++i) {
-        ArrayBench a(ArrayBenchParams::workloadA(tx));
-        best_off = std::min(best_off, timedRun(a, off, r_off));
-        ArrayBench a2(ArrayBenchParams::workloadA(tx));
-        best_off2 = std::min(best_off2, timedRun(a2, off, r_off2));
-        ArrayBench b(ArrayBenchParams::workloadA(tx));
-        best_on = std::min(best_on, timedRun(b, on, r_on));
+        best_off = std::min(best_off, run("trace-off", off, r_off));
+        best_off2 =
+            std::min(best_off2, run("trace-off-again", off, r_off2));
+        best_on = std::min(best_on, run("trace-on", on, r_on));
     }
     expectSameSimulation(r_off, r_off2);
     expectSameSimulation(r_off, r_on);
@@ -153,7 +149,10 @@ perKindFidelity(const BenchOptions &opt)
         spec.trace = true;
 
         ArrayBench wl(ArrayBenchParams::workloadB(tx));
-        const auto r = runtime::runWorkload(wl, spec);
+        runtime::RunResult r;
+        const double wall = timedRun(wl, spec, r);
+        recordRun(std::string(core::stmKindName(kind)) + "/fidelity", wall,
+                  r);
         expectTraceMatchesStats(r);
         const core::TraceBuffer &t = *r.trace;
         table.newRow()

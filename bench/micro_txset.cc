@@ -178,12 +178,14 @@ runDpuCycle(bool pooled, unsigned reps, size_t touch_bytes)
 }
 
 void
-record(const char *label, double wall_s, double sim_cycles)
+record(const char *label, double wall_s, const DpuStats &dpu = {},
+       const StmStats &stm = {})
 {
     bench::PerfRecord rec;
     rec.label = label;
     rec.wall_s = wall_s;
-    rec.sim_cycles = sim_cycles;
+    rec.stm = stm;
+    rec.dpu = dpu;
     bench::PerfReporter::instance().record(std::move(rec));
 }
 
@@ -219,7 +221,7 @@ main(int argc, char **argv)
             .cell(t.index_s * 1e3, 1)
             .cell(t.linear_s * 1e3, 1)
             .cell(t.index_s > 0 ? t.linear_s / t.index_s : 0.0, 2);
-        record(s.name, t.index_s, 0.0);
+        record(s.name, t.index_s);
     }
     if (opt.csv)
         lookup_table.printCsv(std::cout);
@@ -236,9 +238,7 @@ main(int argc, char **argv)
               << stm_run.stm.commits << " commits, "
               << stm_run.dpu.total_cycles << " sim cycles, "
               << stm_run.wall_s * 1e3 << " host ms\n";
-    record("stm_bigws",
-           stm_run.wall_s,
-           static_cast<double>(stm_run.dpu.total_cycles));
+    record("stm_bigws", stm_run.wall_s, stm_run.dpu, stm_run.stm);
 
     // --- Fresh vs pooled DPU construction ---------------------------
     const unsigned reps = static_cast<unsigned>(12 * scale);
@@ -258,10 +258,8 @@ main(int argc, char **argv)
               << " host ms ("
               << (pooled.wall_s > 0 ? fresh.wall_s / pooled.wall_s : 0.0)
               << "x)\n";
-    record("dpu_fresh", fresh.wall_s,
-           static_cast<double>(fresh.last.total_cycles));
-    record("dpu_pooled", pooled.wall_s,
-           static_cast<double>(pooled.last.total_cycles));
+    record("dpu_fresh", fresh.wall_s, fresh.last);
+    record("dpu_pooled", pooled.wall_s, pooled.last);
 
     std::cout << "\nfresh vs pooled simulated stats: identical\n";
     return 0;

@@ -180,9 +180,8 @@ class KvServingBackend : public runtime::ServingBackend
                 "serving grew the store past the key universe");
     }
 
-    u64 simCycles() const { return kv_.simCycles(); }
-    u64 schedSwitches() const { return kv_.schedSwitches(); }
-    u64 schedElisions() const { return kv_.schedElisions(); }
+    core::StmStats stmStats() const { return kv_.stmStats(); }
+    sim::DpuStats dpuStats() const { return kv_.dpuStats(); }
     u64 txCommits() const { return tx_commits_; }
 
     u64
@@ -318,14 +317,7 @@ class VacationServingBackend : public runtime::ServingBackend
         if (involved.empty())
             return cost;
 
-        struct SlotResult
-        {
-            double seconds = 0;
-            u64 cycles = 0;
-            u64 switches = 0;
-            u64 elisions = 0;
-        };
-        std::vector<SlotResult> runs(involved.size());
+        std::vector<sim::DpuStats> runs(involved.size());
 
         // Involved shards run concurrently on host threads; each
         // result lands in its own slot so output is identical for any
@@ -347,21 +339,16 @@ class VacationServingBackend : public runtime::ServingBackend
                     });
             }
             sh.dpu->run();
-            const auto &st = sh.dpu->stats();
-            runs[ii].seconds =
-                cfg_.timing.cyclesToSeconds(st.total_cycles);
-            runs[ii].cycles = st.total_cycles;
-            runs[ii].switches = st.sched_switches;
-            runs[ii].elisions = st.sched_elisions;
+            runs[ii] = sh.dpu->stats();
         });
 
         double worst = 0.0;
         for (size_t ii = 0; ii < involved.size(); ++ii) {
-            cost.shard_busy_seconds[involved[ii]] = runs[ii].seconds;
-            worst = std::max(worst, runs[ii].seconds);
-            cycles_ += runs[ii].cycles;
-            switches_ += runs[ii].switches;
-            elisions_ += runs[ii].elisions;
+            const double secs =
+                cfg_.timing.cyclesToSeconds(runs[ii].total_cycles);
+            cost.shard_busy_seconds[involved[ii]] = secs;
+            worst = std::max(worst, secs);
+            dpu_ += runs[ii];
         }
         // Request down / result up, through the same CPU-mediated
         // link model the KV fleet is charged with.
@@ -405,9 +392,16 @@ class VacationServingBackend : public runtime::ServingBackend
         }
     }
 
-    u64 simCycles() const { return cycles_; }
-    u64 schedSwitches() const { return switches_; }
-    u64 schedElisions() const { return elisions_; }
+    core::StmStats
+    stmStats() const
+    {
+        core::StmStats sum;
+        for (const Shard &sh : shards_)
+            sum += sh.stm->stats();
+        return sum;
+    }
+
+    sim::DpuStats dpuStats() const { return dpu_; }
     u64 reservations() const { return reservations_; }
 
   private:
@@ -540,9 +534,7 @@ class VacationServingBackend : public runtime::ServingBackend
     Config cfg_;
     std::unique_ptr<sim::PimSystem> system_;
     std::vector<Shard> shards_;
-    u64 cycles_ = 0;
-    u64 switches_ = 0;
-    u64 elisions_ = 0;
+    sim::DpuStats dpu_; ///< summed over every launch
     u64 reservations_ = 0;
 };
 
@@ -586,9 +578,8 @@ struct Scenario
 struct ScenarioResult
 {
     runtime::ServingReport rep;
-    u64 sim_cycles = 0;
-    u64 sched_switches = 0;
-    u64 sched_elisions = 0;
+    core::StmStats stm; ///< summed over the fleet's shards
+    sim::DpuStats dpu;  ///< summed over every shard launch
     u64 adaptive_decisions = 0;
     double wall_s = 0;
 };
@@ -659,9 +650,8 @@ runScenario(const Scenario &sc, const ServeFlags &f,
         out.rep =
             runServing(backend, stream, servingConfig(f));
         backend.verify();
-        out.sim_cycles = backend.simCycles();
-        out.sched_switches = backend.schedSwitches();
-        out.sched_elisions = backend.schedElisions();
+        out.stm = backend.stmStats();
+        out.dpu = backend.dpuStats();
         out.adaptive_decisions = backend.adaptiveDecisions();
     } else {
         VacationServingBackend backend(
@@ -671,9 +661,8 @@ runScenario(const Scenario &sc, const ServeFlags &f,
         out.rep =
             runServing(backend, stream, servingConfig(f));
         backend.verify();
-        out.sim_cycles = backend.simCycles();
-        out.sched_switches = backend.schedSwitches();
-        out.sched_elisions = backend.schedElisions();
+        out.stm = backend.stmStats();
+        out.dpu = backend.dpuStats();
     }
     out.wall_s = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - wall0)
@@ -732,14 +721,11 @@ msOf(u64 ns)
 void
 recordScenario(const Scenario &sc, const ScenarioResult &r)
 {
-    if (!PerfReporter::instance().enabled())
-        return;
     PerfRecord rec;
     rec.label = sc.name;
     rec.wall_s = r.wall_s;
-    rec.sim_cycles = static_cast<double>(r.sim_cycles);
-    rec.sched_switches = r.sched_switches;
-    rec.sched_elisions = r.sched_elisions;
+    rec.stm = r.stm;
+    rec.dpu = r.dpu;
     PerfReporter::instance().record(std::move(rec));
 }
 
@@ -998,9 +984,8 @@ main(int argc, char **argv)
                     }
                 }
                 if (failures) {
-                    if (PerfReporter::instance().enabled())
-                        PerfReporter::instance().setExtraBlock(
-                            "serving", serving_json.str());
+                    PerfReporter::instance().setExtraBlock(
+                        "serving", serving_json.str());
                     return 1;
                 }
                 std::cout << "CHECK OK: capacity monotone in shard "
@@ -1053,9 +1038,8 @@ main(int argc, char **argv)
             std::cout << "\n";
         }
 
-        if (PerfReporter::instance().enabled())
-            PerfReporter::instance().setExtraBlock(
-                "serving", serving_json.str());
+        PerfReporter::instance().setExtraBlock("serving",
+                                               serving_json.str());
         return 0;
     });
 }

@@ -264,8 +264,8 @@ runExample(int argc, char **argv)
               << "link: bytes_down=" << st.bytes_down
               << " bytes_up=" << st.bytes_up << " occupancy="
               << st.meanShardOccupancy() << "\n"
-              << "totals: commits=" << kv->totalCommits()
-              << " aborts=" << kv->totalAborts()
+              << "totals: commits=" << kv->stmStats().commits
+              << " aborts=" << kv->stmStats().aborts
               << " modeled time=" << kv->elapsedSeconds() * 1e3
               << " ms\n"
               << "verification: store matches the reference model "

@@ -157,7 +157,52 @@ struct StmStats
                           : static_cast<double>(aborts) /
                                 static_cast<double>(total);
     }
+
+    /** Fold another instance's counters in (the perf artifact sums
+     * the runs it records; a sharded store sums its shards). */
+    StmStats &
+    operator+=(const StmStats &o)
+    {
+        starts += o.starts;
+        commits += o.commits;
+        aborts += o.aborts;
+        for (size_t r = 0; r < kNumAbortReasons; ++r)
+            abort_reasons[r] += o.abort_reasons[r];
+        reads += o.reads;
+        writes += o.writes;
+        validations += o.validations;
+        extensions += o.extensions;
+        read_only_commits += o.read_only_commits;
+        escalations += o.escalations;
+        serial_commits += o.serial_commits;
+        injected_aborts += o.injected_aborts;
+        crashes += o.crashes;
+        boosted_acquires += o.boosted_acquires;
+        boosted_waits += o.boosted_waits;
+        semantic_undos += o.semantic_undos;
+        false_conflicts_avoided += o.false_conflicts_avoided;
+        log_bytes += o.log_bytes;
+        log_appends += o.log_appends;
+        flush_fences += o.flush_fences;
+        durable_commits += o.durable_commits;
+        recoveries += o.recoveries;
+        log_redone += o.log_redone;
+        log_undone += o.log_undone;
+        log_discarded += o.log_discarded;
+        torn_logs += o.torn_logs;
+        lock_waits += o.lock_waits;
+        lock_wait_cycles += o.lock_wait_cycles;
+        backoff_cycles += o.backoff_cycles;
+        park_polls += o.park_polls;
+        kind_switches += o.kind_switches;
+        lock_migrations += o.lock_migrations;
+        return *this;
+    }
 };
+
+// operator+= names every counter: a new one must be summed there too.
+static_assert(sizeof(StmStats) == (31 + kNumAbortReasons) * sizeof(u64),
+              "StmStats changed: update StmStats::operator+=");
 
 } // namespace pimstm::core
 

@@ -22,23 +22,6 @@ std::atomic<u64> g_idx_probes{0};
 std::atomic<u64> g_idx_inserts{0};
 std::atomic<u64> g_idx_max_probe{0};
 
-// Process-wide boosting counters; folded in by Stm::~Stm.
-std::atomic<u64> g_boost_acquires{0};
-std::atomic<u64> g_boost_waits{0};
-std::atomic<u64> g_boost_undos{0};
-std::atomic<u64> g_boost_avoided{0};
-
-// Process-wide durable-transaction counters; folded in by Stm::~Stm.
-std::atomic<u64> g_dur_log_bytes{0};
-std::atomic<u64> g_dur_log_appends{0};
-std::atomic<u64> g_dur_fences{0};
-std::atomic<u64> g_dur_commits{0};
-std::atomic<u64> g_dur_recoveries{0};
-std::atomic<u64> g_dur_redone{0};
-std::atomic<u64> g_dur_undone{0};
-std::atomic<u64> g_dur_discarded{0};
-std::atomic<u64> g_dur_torn{0};
-
 //
 // Durable-log record format (docs/durability.md).
 //
@@ -119,34 +102,6 @@ txIndexTotals()
     t.probes = g_idx_probes.load(std::memory_order_relaxed);
     t.inserts = g_idx_inserts.load(std::memory_order_relaxed);
     t.max_probe = g_idx_max_probe.load(std::memory_order_relaxed);
-    return t;
-}
-
-DurableTotals
-durableTotals()
-{
-    DurableTotals t;
-    t.log_bytes = g_dur_log_bytes.load(std::memory_order_relaxed);
-    t.log_appends = g_dur_log_appends.load(std::memory_order_relaxed);
-    t.flush_fences = g_dur_fences.load(std::memory_order_relaxed);
-    t.durable_commits = g_dur_commits.load(std::memory_order_relaxed);
-    t.recoveries = g_dur_recoveries.load(std::memory_order_relaxed);
-    t.log_redone = g_dur_redone.load(std::memory_order_relaxed);
-    t.log_undone = g_dur_undone.load(std::memory_order_relaxed);
-    t.log_discarded = g_dur_discarded.load(std::memory_order_relaxed);
-    t.torn_logs = g_dur_torn.load(std::memory_order_relaxed);
-    return t;
-}
-
-BoostedTotals
-boostedTotals()
-{
-    BoostedTotals t;
-    t.acquires = g_boost_acquires.load(std::memory_order_relaxed);
-    t.waits = g_boost_waits.load(std::memory_order_relaxed);
-    t.semantic_undos = g_boost_undos.load(std::memory_order_relaxed);
-    t.false_conflicts_avoided =
-        g_boost_avoided.load(std::memory_order_relaxed);
     return t;
 }
 
@@ -273,27 +228,6 @@ Stm::~Stm()
     dpu_.removeDiagnostic(this);
     for (const auto &tx : descriptors_)
         accumulateIndexStats(tx.indexStats());
-    g_boost_acquires.fetch_add(stats_.boosted_acquires,
-                               std::memory_order_relaxed);
-    g_boost_waits.fetch_add(stats_.boosted_waits,
-                            std::memory_order_relaxed);
-    g_boost_undos.fetch_add(stats_.semantic_undos,
-                            std::memory_order_relaxed);
-    g_boost_avoided.fetch_add(stats_.false_conflicts_avoided,
-                              std::memory_order_relaxed);
-    g_dur_log_bytes.fetch_add(stats_.log_bytes, std::memory_order_relaxed);
-    g_dur_log_appends.fetch_add(stats_.log_appends,
-                                std::memory_order_relaxed);
-    g_dur_fences.fetch_add(stats_.flush_fences, std::memory_order_relaxed);
-    g_dur_commits.fetch_add(stats_.durable_commits,
-                            std::memory_order_relaxed);
-    g_dur_recoveries.fetch_add(stats_.recoveries,
-                               std::memory_order_relaxed);
-    g_dur_redone.fetch_add(stats_.log_redone, std::memory_order_relaxed);
-    g_dur_undone.fetch_add(stats_.log_undone, std::memory_order_relaxed);
-    g_dur_discarded.fetch_add(stats_.log_discarded,
-                              std::memory_order_relaxed);
-    g_dur_torn.fetch_add(stats_.torn_logs, std::memory_order_relaxed);
 }
 
 TxDescriptor &

@@ -250,43 +250,6 @@ struct TxIndexTotals
 /** Snapshot of the accumulated totals (thread-safe). */
 TxIndexTotals txIndexTotals();
 
-/**
- * Process-wide totals of the transactional-boosting counters
- * (host-side observability, the `boosted` block of --perf-json).
- * Folded in by Stm::~Stm from StmStats, like the index totals.
- */
-struct BoostedTotals
-{
-    u64 acquires = 0;
-    u64 waits = 0;
-    u64 semantic_undos = 0;
-    u64 false_conflicts_avoided = 0;
-};
-
-/** Snapshot of the accumulated totals (thread-safe). */
-BoostedTotals boostedTotals();
-
-/**
- * Process-wide totals of the durable-transaction counters (host-side
- * observability, the `durable` block of --perf-json). Folded in by
- * Stm::~Stm from StmStats, like the boosting totals.
- */
-struct DurableTotals
-{
-    u64 log_bytes = 0;
-    u64 log_appends = 0;
-    u64 flush_fences = 0;
-    u64 durable_commits = 0;
-    u64 recoveries = 0;
-    u64 log_redone = 0;
-    u64 log_undone = 0;
-    u64 log_discarded = 0;
-    u64 torn_logs = 0;
-};
-
-/** Snapshot of the accumulated totals (thread-safe). */
-DurableTotals durableTotals();
-
 /** What one Stm::recoverAfterCrash() pass found in the log region. */
 struct RecoveryReport
 {

@@ -1,7 +1,6 @@
 #include "core/trace.hh"
 
 #include <algorithm>
-#include <mutex>
 #include <string>
 
 namespace pimstm::core
@@ -250,49 +249,32 @@ TraceBuffer::writePerfetto(std::ostream &os, u32 pid,
 }
 
 //
-// Process-wide totals
+// TraceTotals
 //
 
-namespace
-{
-
-std::mutex g_trace_mutex;
-TraceTotals g_trace_totals;
-
-} // namespace
-
-TraceTotals
-traceTotals()
-{
-    std::lock_guard<std::mutex> lk(g_trace_mutex);
-    return g_trace_totals;
-}
-
 void
-accumulateTraceTotals(const TraceBuffer &trace)
+TraceTotals::add(const TraceBuffer &trace)
 {
-    std::lock_guard<std::mutex> lk(g_trace_mutex);
-    TraceTotals &t = g_trace_totals;
-    ++t.runs;
+    ++runs;
     for (size_t e = 0; e < kNumTxEvents; ++e)
-        t.events[e] += trace.count(static_cast<TxEvent>(e));
-    t.dropped += trace.dropped();
+        events[e] += trace.count(static_cast<TxEvent>(e));
+    dropped += trace.dropped();
     for (size_t r = 0; r < kNumAbortReasons; ++r)
-        t.aborts_by_reason[r] += trace.abortsByReason()[r];
+        aborts_by_reason[r] += trace.abortsByReason()[r];
     for (size_t s = 0; s < kNumStructures; ++s)
-        t.aborts_by_structure[s] += trace.abortsByStructure()[s];
-    t.tx_latency.merge(trace.txLatency());
-    t.commit_latency.merge(trace.commitLatency());
-    t.read_set_size.merge(trace.readSetSize());
-    t.write_set_size.merge(trace.writeSetSize());
-    const auto &locks = trace.lockContention();
-    if (locks.size() > t.locks.size())
-        t.locks.resize(locks.size());
-    for (size_t i = 0; i < locks.size(); ++i) {
-        t.locks[i].acquires += locks[i].acquires;
-        t.locks[i].waits += locks[i].waits;
-        t.locks[i].wait_cycles += locks[i].wait_cycles;
-        t.locks[i].aborts_caused += locks[i].aborts_caused;
+        aborts_by_structure[s] += trace.abortsByStructure()[s];
+    tx_latency.merge(trace.txLatency());
+    commit_latency.merge(trace.commitLatency());
+    read_set_size.merge(trace.readSetSize());
+    write_set_size.merge(trace.writeSetSize());
+    const auto &run_locks = trace.lockContention();
+    if (run_locks.size() > locks.size())
+        locks.resize(run_locks.size());
+    for (size_t i = 0; i < run_locks.size(); ++i) {
+        locks[i].acquires += run_locks[i].acquires;
+        locks[i].waits += run_locks[i].waits;
+        locks[i].wait_cycles += run_locks[i].wait_cycles;
+        locks[i].aborts_caused += run_locks[i].aborts_caused;
     }
 }
 

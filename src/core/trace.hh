@@ -475,10 +475,9 @@ class TraceBuffer : public sim::SchedTraceSink
 };
 
 /**
- * Process-wide totals of every traced run, accumulated by
- * runtime::runWorkload and exported as the `trace` block of
- * --perf-json (schema in docs/observability.md). Mirrors
- * sim::FaultTotals / core::txIndexTotals.
+ * Sum of traced runs: the `trace` block of --perf-json (schema in
+ * docs/observability.md), folded from the TraceBuffers of the runs
+ * the artifact records.
  */
 struct TraceTotals
 {
@@ -494,13 +493,10 @@ struct TraceTotals
     /** Merged heatmap, indexed by lock index (cross-run: the same
      * index in different runs lands in the same cell). */
     std::vector<LockContention> locks;
+
+    /** Fold one run's trace in. */
+    void add(const TraceBuffer &trace);
 };
-
-/** Snapshot of the accumulated totals (thread-safe). */
-TraceTotals traceTotals();
-
-/** Fold one run's trace into the process-wide totals (thread-safe). */
-void accumulateTraceTotals(const TraceBuffer &trace);
 
 } // namespace pimstm::core
 

@@ -9,7 +9,6 @@
 #include "hostapp/distributed_kv.hh"
 
 #include <algorithm>
-#include <mutex>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -45,41 +44,7 @@ enum class Vote : u8
     PredicateFail, ///< source absent / destination occupied: final
 };
 
-std::mutex g_totals_mutex;
-TwoPcStats g_totals;
-
 } // namespace
-
-TwoPcStats
-twoPcTotals()
-{
-    std::lock_guard<std::mutex> lock(g_totals_mutex);
-    return g_totals;
-}
-
-void
-accumulateTwoPcTotals(const TwoPcStats &d)
-{
-    std::lock_guard<std::mutex> lock(g_totals_mutex);
-    g_totals.batches += d.batches;
-    g_totals.prepare_rounds += d.prepare_rounds;
-    g_totals.commit_rounds += d.commit_rounds;
-    g_totals.tx_commits += d.tx_commits;
-    g_totals.tx_predicate_fails += d.tx_predicate_fails;
-    g_totals.tx_conflict_retries += d.tx_conflict_retries;
-    g_totals.serial_fallbacks += d.serial_fallbacks;
-    g_totals.deferred_ops += d.deferred_ops;
-    g_totals.participant_redeliveries += d.participant_redeliveries;
-    g_totals.crashes_in_prepare += d.crashes_in_prepare;
-    g_totals.crashes_in_commit += d.crashes_in_commit;
-    g_totals.shard_recoveries += d.shard_recoveries;
-    g_totals.wal_persists += d.wal_persists;
-    g_totals.decisions_replayed += d.decisions_replayed;
-    g_totals.bytes_down += d.bytes_down;
-    g_totals.bytes_up += d.bytes_up;
-    g_totals.shard_busy_seconds += d.shard_busy_seconds;
-    g_totals.shard_capacity_seconds += d.shard_capacity_seconds;
-}
 
 std::string
 twoPcStatsJson(const TwoPcStats &s)
@@ -498,8 +463,6 @@ DistributedKv::runLaunch(std::vector<std::vector<WorkItem>> &work,
         // Keep fault-injection op counts across the batch's launches so
         // a crash point fires once per batch, not once per round.
         shard.dpu->resetRun(/*reset_faults=*/false);
-        const u64 commits_before = shard.stm->stats().commits;
-        const u64 aborts_before = shard.stm->stats().aborts;
 
         // Round-robin slices: tasklet t handles items[t], [t+T], ...
         // Items already Done are skipped — that makes the bodies
@@ -521,9 +484,7 @@ DistributedKv::runLaunch(std::vector<std::vector<WorkItem>> &work,
         };
         const auto charge_round = [&] {
             const auto &st = shard.dpu->stats();
-            shard.cum_cycles += st.total_cycles;
-            shard.cum_switches += st.sched_switches;
-            shard.cum_elisions += st.sched_elisions;
+            shard.dpu_stats += st;
             const double secs =
                 cfg_.timing.cyclesToSeconds(st.total_cycles);
             shard.busy_seconds += secs;
@@ -553,9 +514,6 @@ DistributedKv::runLaunch(std::vector<std::vector<WorkItem>> &work,
                 add_bodies();
             }
         }
-
-        shard.commits += shard.stm->stats().commits - commits_before;
-        shard.aborts += shard.stm->stats().aborts - aborts_before;
     });
 
     double worst = 0.0;
@@ -699,7 +657,6 @@ DistributedKv::deliverDecisions(std::vector<InFlight *> &wal)
         if (crash_mid) {
             crash_point_ = CrashPoint::None;
             recovery_needed_ = true;
-            foldTotalsDelta();
             throw CoordinatorCrashed{};
         }
         if (item_count == 0)
@@ -905,7 +862,6 @@ DistributedKv::execute(const std::vector<KvOp> &ops,
         if (crash_point_ == CrashPoint::AfterPrepare && !wal_.empty()) {
             crash_point_ = CrashPoint::None;
             recovery_needed_ = true;
-            foldTotalsDelta();
             throw CoordinatorCrashed{};
         }
 
@@ -975,7 +931,6 @@ DistributedKv::execute(const std::vector<KvOp> &ops,
     }
 
     recyclePins();
-    foldTotalsDelta();
     return result;
 }
 
@@ -1098,7 +1053,6 @@ DistributedKv::recover()
     persisted_wal_.clear();
     recovery_needed_ = false;
     recyclePins();
-    foldTotalsDelta();
 }
 
 void
@@ -1119,49 +1073,22 @@ DistributedKv::recyclePins()
         elapsed_seconds_ += system_->transferSeconds(bytes);
 }
 
-u64
-DistributedKv::totalCommits() const
+core::StmStats
+DistributedKv::stmStats() const
 {
-    u64 n = 0;
+    core::StmStats sum;
     for (const auto &s : shards_)
-        n += s.commits;
-    return n;
+        sum += s.stm->stats();
+    return sum;
 }
 
-u64
-DistributedKv::totalAborts() const
+sim::DpuStats
+DistributedKv::dpuStats() const
 {
-    u64 n = 0;
+    sim::DpuStats sum;
     for (const auto &s : shards_)
-        n += s.aborts;
-    return n;
-}
-
-u64
-DistributedKv::simCycles() const
-{
-    u64 n = 0;
-    for (const auto &s : shards_)
-        n += s.cum_cycles;
-    return n;
-}
-
-u64
-DistributedKv::schedSwitches() const
-{
-    u64 n = 0;
-    for (const auto &s : shards_)
-        n += s.cum_switches;
-    return n;
-}
-
-u64
-DistributedKv::schedElisions() const
-{
-    u64 n = 0;
-    for (const auto &s : shards_)
-        n += s.cum_elisions;
-    return n;
+        sum += s.dpu_stats;
+    return sum;
 }
 
 double
@@ -1208,40 +1135,6 @@ DistributedKv::shardDpu(unsigned s)
 {
     panicIf(s >= shards_.size(), "shardDpu: shard out of range");
     return *shards_[s].dpu;
-}
-
-void
-DistributedKv::foldTotalsDelta()
-{
-    TwoPcStats d;
-    d.batches = stats_.batches - folded_.batches;
-    d.prepare_rounds = stats_.prepare_rounds - folded_.prepare_rounds;
-    d.commit_rounds = stats_.commit_rounds - folded_.commit_rounds;
-    d.tx_commits = stats_.tx_commits - folded_.tx_commits;
-    d.tx_predicate_fails =
-        stats_.tx_predicate_fails - folded_.tx_predicate_fails;
-    d.tx_conflict_retries =
-        stats_.tx_conflict_retries - folded_.tx_conflict_retries;
-    d.serial_fallbacks = stats_.serial_fallbacks - folded_.serial_fallbacks;
-    d.deferred_ops = stats_.deferred_ops - folded_.deferred_ops;
-    d.participant_redeliveries = stats_.participant_redeliveries -
-                                 folded_.participant_redeliveries;
-    d.crashes_in_prepare =
-        stats_.crashes_in_prepare - folded_.crashes_in_prepare;
-    d.crashes_in_commit =
-        stats_.crashes_in_commit - folded_.crashes_in_commit;
-    d.shard_recoveries = stats_.shard_recoveries - folded_.shard_recoveries;
-    d.wal_persists = stats_.wal_persists - folded_.wal_persists;
-    d.decisions_replayed =
-        stats_.decisions_replayed - folded_.decisions_replayed;
-    d.bytes_down = stats_.bytes_down - folded_.bytes_down;
-    d.bytes_up = stats_.bytes_up - folded_.bytes_up;
-    d.shard_busy_seconds =
-        stats_.shard_busy_seconds - folded_.shard_busy_seconds;
-    d.shard_capacity_seconds =
-        stats_.shard_capacity_seconds - folded_.shard_capacity_seconds;
-    accumulateTwoPcTotals(d);
-    folded_ = stats_;
 }
 
 } // namespace pimstm::hostapp

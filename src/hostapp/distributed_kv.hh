@@ -120,8 +120,8 @@ struct KvBatchResult
 };
 
 /**
- * Coordinator / participant statistics, per DistributedKv instance and
- * accumulated process-wide (twoPcTotals) for the --perf-json
+ * Coordinator / participant statistics of one DistributedKv instance;
+ * a bench sums its instances' stats() for the --perf-json
  * `distributed` block. Host-side observability only.
  */
 struct TwoPcStats
@@ -153,13 +153,36 @@ struct TwoPcStats
                    ? shard_busy_seconds / shard_capacity_seconds
                    : 0.0;
     }
+
+    /** Fold another instance's counters in. */
+    TwoPcStats &
+    operator+=(const TwoPcStats &o)
+    {
+        batches += o.batches;
+        prepare_rounds += o.prepare_rounds;
+        commit_rounds += o.commit_rounds;
+        tx_commits += o.tx_commits;
+        tx_predicate_fails += o.tx_predicate_fails;
+        tx_conflict_retries += o.tx_conflict_retries;
+        serial_fallbacks += o.serial_fallbacks;
+        deferred_ops += o.deferred_ops;
+        participant_redeliveries += o.participant_redeliveries;
+        crashes_in_prepare += o.crashes_in_prepare;
+        crashes_in_commit += o.crashes_in_commit;
+        shard_recoveries += o.shard_recoveries;
+        wal_persists += o.wal_persists;
+        decisions_replayed += o.decisions_replayed;
+        bytes_down += o.bytes_down;
+        bytes_up += o.bytes_up;
+        shard_busy_seconds += o.shard_busy_seconds;
+        shard_capacity_seconds += o.shard_capacity_seconds;
+        return *this;
+    }
 };
 
-/** Snapshot of the process-wide 2PC totals. */
-TwoPcStats twoPcTotals();
-
-/** Fold one instance's counters into the process-wide totals. */
-void accumulateTwoPcTotals(const TwoPcStats &delta);
+// operator+= names every counter: a new one must be summed there too.
+static_assert(sizeof(TwoPcStats) == 16 * sizeof(u64) + 2 * sizeof(double),
+              "TwoPcStats changed: update TwoPcStats::operator+=");
 
 /** The `distributed` --perf-json block for @p s (one JSON object). */
 std::string twoPcStatsJson(const TwoPcStats &s);
@@ -287,15 +310,18 @@ class DistributedKv
     /** Total simulated+modelled time spent so far (seconds). */
     double elapsedSeconds() const { return elapsed_seconds_; }
 
-    /** Committed transactions across all shards so far. */
-    u64 totalCommits() const;
-    u64 totalAborts() const;
+    /** STM counters summed over the shards (each shard STM's whole
+     * lifetime, seeding batches included). */
+    core::StmStats stmStats() const;
 
-    /** Summed simulated cycles / scheduler counters across shards and
-     * launches (for --perf-json records). */
-    u64 simCycles() const;
-    u64 schedSwitches() const;
-    u64 schedElisions() const;
+    /** DPU counters summed over the shards and every launch so far. */
+    sim::DpuStats dpuStats() const;
+
+    /** @{ Shorthands for dpuStats() fields (perfbench/ reads these). */
+    u64 simCycles() const { return dpuStats().total_cycles; }
+    u64 schedSwitches() const { return dpuStats().sched_switches; }
+    u64 schedElisions() const { return dpuStats().sched_elisions; }
+    /** @} */
 
     /** 2PC statistics for this instance. */
     const TwoPcStats &stats() const { return stats_; }
@@ -381,11 +407,7 @@ class DistributedKv
         std::unique_ptr<runtime::BoostedMap> bpins;
         unsigned live_pins = 0;  ///< host view of committed pins
         bool pins_dirty = false; ///< pin table has tombstones to recycle
-        u64 commits = 0;
-        u64 aborts = 0;
-        u64 cum_cycles = 0;
-        u64 cum_switches = 0;
-        u64 cum_elisions = 0;
+        sim::DpuStats dpu_stats; ///< summed over every launch
         double busy_seconds = 0;
     };
 
@@ -422,8 +444,6 @@ class DistributedKv
     /** Persisted decision for @p token, or null (presumed abort). */
     const InFlight *findPersisted(u32 token) const;
 
-    void foldTotalsDelta();
-
     DistributedKvConfig cfg_;
     std::unique_ptr<sim::PimSystem> system_;
     std::vector<Shard> shards_; ///< destroyed before system_ (STMs
@@ -431,7 +451,6 @@ class DistributedKv
     double elapsed_seconds_ = 0;
     u32 next_token_ = 1;
     TwoPcStats stats_;
-    TwoPcStats folded_; ///< portion already folded into the globals
 
     std::vector<InFlight> wal_; ///< in-flight tx log (coordinator WAL)
     /** Durable copy of logged commit decisions: persisted before any

@@ -171,20 +171,7 @@ runWorkload(Workload &workload, const RunSpec &spec)
         }
     }
 
-    // Fold this run's robustness counters into the process-wide totals
-    // surfaced by --perf-json (host observability only).
-    sim::FaultTotals ft;
-    ft.injected_stalls = r.dpu.injected_stalls;
-    ft.injected_acq_delays = r.dpu.injected_acq_delays;
-    ft.tasklet_crashes = r.dpu.tasklet_crashes;
-    ft.injected_aborts = r.stm.injected_aborts;
-    ft.escalations = r.stm.escalations;
-    ft.serial_commits = r.stm.serial_commits;
-    ft.dpu_crashes = r.dpu.dpu_crashes;
-    sim::accumulateFaultTotals(ft);
-
     if (trace_buf) {
-        core::accumulateTraceTotals(*trace_buf);
         r.trace = trace_buf;
         dpu.setTraceSink(nullptr);
     }

@@ -1,7 +1,6 @@
 #include "sim/fault.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -221,50 +220,6 @@ FaultInjector::onStmOp(unsigned tid, bool can_abort)
         && t.rng.below(1000) < plan_.abort_permille)
         return StmFault::SpuriousAbort;
     return StmFault::None;
-}
-
-namespace
-{
-
-/** Process-wide totals; relaxed atomics (folded once per run, read
- * once at report time). */
-std::atomic<u64> g_stalls{0};
-std::atomic<u64> g_acq_delays{0};
-std::atomic<u64> g_crashes{0};
-std::atomic<u64> g_injected_aborts{0};
-std::atomic<u64> g_escalations{0};
-std::atomic<u64> g_serial_commits{0};
-std::atomic<u64> g_dpu_crashes{0};
-
-} // namespace
-
-FaultTotals
-faultTotals()
-{
-    FaultTotals t;
-    t.injected_stalls = g_stalls.load(std::memory_order_relaxed);
-    t.injected_acq_delays = g_acq_delays.load(std::memory_order_relaxed);
-    t.tasklet_crashes = g_crashes.load(std::memory_order_relaxed);
-    t.injected_aborts = g_injected_aborts.load(std::memory_order_relaxed);
-    t.escalations = g_escalations.load(std::memory_order_relaxed);
-    t.serial_commits = g_serial_commits.load(std::memory_order_relaxed);
-    t.dpu_crashes = g_dpu_crashes.load(std::memory_order_relaxed);
-    return t;
-}
-
-void
-accumulateFaultTotals(const FaultTotals &delta)
-{
-    g_stalls.fetch_add(delta.injected_stalls, std::memory_order_relaxed);
-    g_acq_delays.fetch_add(delta.injected_acq_delays,
-                           std::memory_order_relaxed);
-    g_crashes.fetch_add(delta.tasklet_crashes, std::memory_order_relaxed);
-    g_injected_aborts.fetch_add(delta.injected_aborts,
-                                std::memory_order_relaxed);
-    g_escalations.fetch_add(delta.escalations, std::memory_order_relaxed);
-    g_serial_commits.fetch_add(delta.serial_commits,
-                               std::memory_order_relaxed);
-    g_dpu_crashes.fetch_add(delta.dpu_crashes, std::memory_order_relaxed);
 }
 
 } // namespace pimstm::sim

@@ -293,30 +293,6 @@ class WatchdogError : public std::runtime_error
     Kind kind_;
 };
 
-/**
- * Process-wide fault / robustness counter totals, accumulated by
- * runtime::runWorkload after each run and reported in the --perf-json
- * `host` block. Host-side observability only — never fed back into
- * simulated state.
- */
-struct FaultTotals
-{
-    u64 injected_stalls = 0;
-    u64 injected_acq_delays = 0;
-    u64 tasklet_crashes = 0;
-    u64 injected_aborts = 0;
-    u64 escalations = 0;
-    u64 serial_commits = 0;
-    /** Whole-DPU crashes delivered (docs/durability.md). */
-    u64 dpu_crashes = 0;
-};
-
-/** Snapshot of the process-wide fault totals. */
-FaultTotals faultTotals();
-
-/** Fold one run's counters into the process-wide totals. */
-void accumulateFaultTotals(const FaultTotals &delta);
-
 } // namespace pimstm::sim
 
 #endif // PIMSTM_SIM_FAULT_HH

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 
@@ -119,16 +120,36 @@ TEST(TwoPcPlan, StatsJsonCarriesEveryField)
     EXPECT_DOUBLE_EQ(TwoPcStats{}.meanShardOccupancy(), 0.0);
 }
 
-TEST(TwoPcPlan, TotalsAccumulateDeltas)
+TEST(TwoPcPlan, StatsSumEveryField)
 {
-    const TwoPcStats before = twoPcTotals();
-    TwoPcStats d;
-    d.tx_commits = 7;
-    d.bytes_down = 11;
-    accumulateTwoPcTotals(d);
-    const TwoPcStats after = twoPcTotals();
-    EXPECT_EQ(after.tx_commits, before.tx_commits + 7);
-    EXPECT_EQ(after.bytes_down, before.bytes_down + 11);
+    // Every counter holds a distinct value, so a field summed into the
+    // wrong member (or not at all) shows in the sum.
+    const auto counters = [](TwoPcStats &s) {
+        return std::array<u64 *, 16>{
+            &s.batches, &s.prepare_rounds, &s.commit_rounds,
+            &s.tx_commits, &s.tx_predicate_fails, &s.tx_conflict_retries,
+            &s.serial_fallbacks, &s.deferred_ops,
+            &s.participant_redeliveries, &s.crashes_in_prepare,
+            &s.crashes_in_commit, &s.shard_recoveries, &s.wal_persists,
+            &s.decisions_replayed, &s.bytes_down, &s.bytes_up};
+    };
+    static_assert(16 * sizeof(u64) + 2 * sizeof(double) ==
+                  sizeof(TwoPcStats));
+    TwoPcStats a;
+    const auto a_counters = counters(a);
+    for (size_t i = 0; i < a_counters.size(); ++i)
+        *a_counters[i] = 1 + i;
+    a.shard_busy_seconds = 0.5;
+    a.shard_capacity_seconds = 2.0;
+
+    TwoPcStats sum = a;
+    sum += a;
+    const auto sum_counters = counters(sum);
+    for (size_t i = 0; i < sum_counters.size(); ++i)
+        EXPECT_EQ(*sum_counters[i], 2 * (1 + i)) << i;
+    EXPECT_DOUBLE_EQ(sum.shard_busy_seconds, 1.0);
+    EXPECT_DOUBLE_EQ(sum.shard_capacity_seconds, 4.0);
+    EXPECT_DOUBLE_EQ(sum.meanShardOccupancy(), 0.25);
 }
 
 //

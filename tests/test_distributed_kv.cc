@@ -271,9 +271,52 @@ TEST(DistributedKvTest, TimeAndStatsAccumulate)
     kv->execute({KvOp::put(1, 1)});
     const double t1 = kv->elapsedSeconds();
     EXPECT_GT(t1, 0.0);
-    EXPECT_GE(kv->totalCommits(), 1u);
+    EXPECT_GE(kv->stmStats().commits, 1u);
     kv->execute({KvOp::get(1)});
     EXPECT_GT(kv->elapsedSeconds(), t1);
+}
+
+TEST(DistributedKvTest, StmAndDpuStatsSumTheShards)
+{
+    auto kv = std::make_unique<DistributedKv>(smallCfg());
+    // A key on every shard, so each batch launches every shard once
+    // and each shard DPU's stats() holds exactly that launch.
+    std::vector<KvOp> puts, gets;
+    std::vector<bool> covered(kv->numShards(), false);
+    for (u32 k = 1; k <= 64; ++k) {
+        puts.push_back(KvOp::put(k, k * 3));
+        gets.push_back(KvOp::get(k));
+        covered[kv->shardOf(k)] = true;
+    }
+    for (unsigned s = 0; s < kv->numShards(); ++s)
+        ASSERT_TRUE(covered[s]) << "shard " << s;
+
+    sim::DpuStats launches;
+    for (const auto *batch : {&puts, &gets}) {
+        kv->execute(*batch);
+        for (unsigned s = 0; s < kv->numShards(); ++s)
+            launches += kv->shardDpu(s).stats();
+    }
+    const sim::DpuStats dpu = kv->dpuStats();
+    EXPECT_EQ(dpu.total_cycles, launches.total_cycles);
+    EXPECT_EQ(dpu.phase_cycles, launches.phase_cycles);
+    EXPECT_EQ(dpu.instructions, launches.instructions);
+    EXPECT_EQ(dpu.mram_bytes_written, launches.mram_bytes_written);
+    EXPECT_EQ(dpu.sched_switches, launches.sched_switches);
+    EXPECT_EQ(dpu.sched_elisions, launches.sched_elisions);
+    EXPECT_EQ(kv->simCycles(), dpu.total_cycles);
+    EXPECT_GT(dpu.total_cycles, 0u);
+
+    core::StmStats shards;
+    for (unsigned s = 0; s < kv->numShards(); ++s)
+        shards += kv->shardStm(s).stats();
+    const core::StmStats stm = kv->stmStats();
+    EXPECT_EQ(stm.starts, shards.starts);
+    EXPECT_EQ(stm.commits, shards.commits);
+    EXPECT_EQ(stm.aborts, shards.aborts);
+    EXPECT_EQ(stm.reads, shards.reads);
+    EXPECT_EQ(stm.writes, shards.writes);
+    EXPECT_EQ(stm.commits, puts.size() + gets.size());
 }
 
 TEST(DistributedKvTest, RejectsInvalidConfigsAndKeys)

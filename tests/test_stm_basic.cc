@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <type_traits>
+
 #include "core/stm_factory.hh"
 #include "runtime/shared_array.hh"
 
@@ -427,4 +431,25 @@ TEST(StmKindTest, NamesAreDistinct)
     // extension on top.
     EXPECT_EQ(allStmKinds().size(), 7u);
     EXPECT_EQ(allStmKindsExtended().size(), 8u);
+}
+
+TEST(StmStatsTest, SumAddsEveryCounter)
+{
+    // Every member of StmStats is a u64 counter: fill each word of two
+    // instances with distinct values and check each word of the sum.
+    constexpr size_t kWords = sizeof(StmStats) / sizeof(u64);
+    static_assert(sizeof(StmStats) == kWords * sizeof(u64));
+    static_assert(std::is_trivially_copyable_v<StmStats>);
+    std::array<u64, kWords> a_words{}, b_words{}, sum_words{};
+    for (size_t i = 0; i < kWords; ++i) {
+        a_words[i] = 1000 + i;
+        b_words[i] = (i + 1) << 20;
+    }
+    StmStats a, b;
+    std::memcpy(static_cast<void *>(&a), a_words.data(), sizeof a);
+    std::memcpy(static_cast<void *>(&b), b_words.data(), sizeof b);
+    a += b;
+    std::memcpy(sum_words.data(), &a, sizeof a);
+    for (size_t i = 0; i < kWords; ++i)
+        EXPECT_EQ(sum_words[i], a_words[i] + b_words[i]) << "word " << i;
 }

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <sstream>
@@ -467,22 +468,62 @@ TEST(TraceWatchdog, ProgressDumpCarriesTraceTail)
 }
 
 //
-// Process-wide totals.
+// Perf-artifact sums.
 //
 
-TEST(TraceTotalsTest, AccumulateMergesRuns)
+TEST(TraceTotalsTest, AddMergesRuns)
 {
-    const TraceTotals before = traceTotals();
+    const auto a = runArrayBenchB(tracedSpec(StmKind::TinyCtlWb), 10);
+    const auto b = runArrayBenchB(tracedSpec(StmKind::VrEtlWb), 10);
+    ASSERT_TRUE(a.trace);
+    ASSERT_TRUE(b.trace);
+    const TraceBuffer &ta = *a.trace;
+    const TraceBuffer &tb = *b.trace;
 
-    const auto r = runArrayBenchB(tracedSpec(StmKind::TinyCtlWb), 10);
-    ASSERT_TRUE(r.trace);
+    TraceTotals t;
+    t.add(ta);
+    t.add(tb);
+    EXPECT_EQ(t.runs, 2u);
+    EXPECT_EQ(t.dropped, ta.dropped() + tb.dropped());
+    for (size_t e = 0; e < kNumTxEvents; ++e) {
+        const auto ev = static_cast<TxEvent>(e);
+        EXPECT_EQ(t.events[e], ta.count(ev) + tb.count(ev)) << e;
+    }
+    for (size_t r = 0; r < kNumAbortReasons; ++r)
+        EXPECT_EQ(t.aborts_by_reason[r],
+                  ta.abortsByReason()[r] + tb.abortsByReason()[r]);
+    for (size_t s = 0; s < kNumStructures; ++s)
+        EXPECT_EQ(t.aborts_by_structure[s],
+                  ta.abortsByStructure()[s] + tb.abortsByStructure()[s]);
+    EXPECT_EQ(t.tx_latency.count,
+              ta.txLatency().count + tb.txLatency().count);
+    EXPECT_EQ(t.tx_latency.sum, ta.txLatency().sum + tb.txLatency().sum);
+    EXPECT_EQ(t.tx_latency.min,
+              std::min(ta.txLatency().min, tb.txLatency().min));
+    EXPECT_EQ(t.tx_latency.max,
+              std::max(ta.txLatency().max, tb.txLatency().max));
+    EXPECT_EQ(t.commit_latency.count,
+              ta.commitLatency().count + tb.commitLatency().count);
+    EXPECT_EQ(t.read_set_size.count,
+              ta.readSetSize().count + tb.readSetSize().count);
+    EXPECT_EQ(t.write_set_size.sum,
+              ta.writeSetSize().sum + tb.writeSetSize().sum);
 
-    const TraceTotals after = traceTotals();
-    EXPECT_EQ(after.runs, before.runs + 1);
-    EXPECT_EQ(after.events[static_cast<size_t>(TxEvent::Commit)],
-              before.events[static_cast<size_t>(TxEvent::Commit)] +
-                  r.trace->count(TxEvent::Commit));
-    EXPECT_EQ(after.tx_latency.count,
-              before.tx_latency.count + r.trace->txLatency().count);
-    EXPECT_GE(after.locks.size(), r.trace->lockContention().size());
+    // The heatmap merges cell by cell over the longer table.
+    const auto &la = ta.lockContention();
+    const auto &lb = tb.lockContention();
+    ASSERT_EQ(t.locks.size(), std::max(la.size(), lb.size()));
+    ASSERT_FALSE(t.locks.empty());
+    for (size_t i = 0; i < t.locks.size(); ++i) {
+        const LockContention none;
+        const LockContention &ca = i < la.size() ? la[i] : none;
+        const LockContention &cb = i < lb.size() ? lb[i] : none;
+        EXPECT_EQ(t.locks[i].acquires, ca.acquires + cb.acquires) << i;
+        EXPECT_EQ(t.locks[i].waits, ca.waits + cb.waits) << i;
+        EXPECT_EQ(t.locks[i].wait_cycles, ca.wait_cycles + cb.wait_cycles)
+            << i;
+        EXPECT_EQ(t.locks[i].aborts_caused,
+                  ca.aborts_caused + cb.aborts_caused)
+            << i;
+    }
 }
