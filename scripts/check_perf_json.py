@@ -9,13 +9,17 @@ the committed baseline exactly — any drift means a change altered
 simulated behaviour, which this repo treats as a hard failure unless
 the baseline is regenerated on purpose.
 
-The "adaptive", "boosted", "durable" and "serving" blocks are
-simulated state too: when both artifacts carry one, every field must
-match exactly.
+The "adaptive", "boosted", "durable", "serving" and "distributed"
+blocks and the "host" block's "faults" counters are simulated state
+too: when both artifacts carry one, every field must match exactly,
+with one exception. "distributed.mean_shard_occupancy" is a ratio of
+float sums whose summation order may move its last bits, so it must
+match within a relative 1e-12.
 
-Host-side fields (wall_s, sim_cycles_per_wall_s, the "host" block,
-the hand-written "baseline" block, hardware_threads) vary run to run
-and machine to machine; they are reported but never gated.
+Host-side fields (wall_s, sim_cycles_per_wall_s, the rest of the
+"host" block, the hand-written "baseline" block, hardware_threads)
+vary run to run and machine to machine; they are reported but never
+gated.
 
 Points are compared as a multiset keyed on (label, sim_cycles,
 sched_switches, sched_elisions): labels legally repeat across sweep
@@ -23,12 +27,16 @@ workloads, and record order depends on host-thread completion order.
 """
 
 import json
+import math
 import sys
 from collections import Counter
 
 SIM_POINT_FIELDS = ("sim_cycles", "sched_switches", "sched_elisions")
 SIM_TOTAL_FIELDS = ("sim_cycles", "sched_switches", "sched_elisions")
-EXACT_BLOCKS = ("adaptive", "boosted", "durable", "serving")
+EXACT_BLOCKS = ("adaptive", "boosted", "durable", "serving", "distributed",
+                "host.faults")
+# Block fields gated within a relative tolerance instead of exactly.
+REL_TOLERANCE = {"distributed.mean_shard_occupancy": 1e-12}
 
 
 def load(path):
@@ -37,6 +45,13 @@ def load(path):
             return json.load(f)
     except (OSError, ValueError) as e:
         sys.exit(f"error: cannot load {path}: {e}")
+
+
+def block(artifact, path):
+    """The sub-object at dotted @path, or None when absent."""
+    for key in path.split("."):
+        artifact = artifact.get(key) if isinstance(artifact, dict) else None
+    return artifact
 
 
 def point_key(p):
@@ -78,25 +93,30 @@ def main():
     # carry them: the epoch controller's decision log
     # (docs/adaptive.md), the durable counters (log bytes, fences,
     # redo/undo decisions; docs/durability.md), the serving layer's
-    # arrival clocks, batches and percentiles (docs/serving.md) and the
-    # boosting counters (docs/boosting.md). Any drift means simulated
-    # behaviour changed.
-    for block in EXACT_BLOCKS:
-        b_blk, f_blk = base.get(block), fresh.get(block)
+    # arrival clocks, batches and percentiles (docs/serving.md), the
+    # boosting counters (docs/boosting.md), the 2PC rounds and bytes
+    # (docs/distributed.md) and the injected-fault counters
+    # (docs/robustness.md). Any drift means simulated behaviour changed.
+    for name in EXACT_BLOCKS:
+        b_blk, f_blk = block(base, name), block(fresh, name)
         if b_blk is None or f_blk is None or b_blk == f_blk:
             continue
         for field in sorted(set(b_blk) | set(f_blk)):
             bv, fv = b_blk.get(field), f_blk.get(field)
-            if bv == fv:
+            tol = REL_TOLERANCE.get(f"{name}.{field}")
+            if bv == fv or (tol is not None
+                            and isinstance(bv, float)
+                            and isinstance(fv, float)
+                            and math.isclose(bv, fv, rel_tol=tol)):
                 continue
             if isinstance(bv, list) and isinstance(fv, list):
                 first = next((i for i, (x, y) in enumerate(zip(bv, fv))
                               if x != y), min(len(bv), len(fv)))
-                failures.append(f"{block}.{field}: baseline {len(bv)} "
+                failures.append(f"{name}.{field}: baseline {len(bv)} "
                                 f"entries != fresh {len(fv)} (first "
                                 f"difference at index {first})")
             else:
-                failures.append(f"{block}.{field}: baseline "
+                failures.append(f"{name}.{field}: baseline "
                                 f"{json.dumps(bv)[:200]} != fresh "
                                 f"{json.dumps(fv)[:200]}")
 
