@@ -14,9 +14,10 @@
  * DPU an independent instance.
  *
  * The cpu_s / merge_s / speedup columns are charged through the
- * deterministic host cost model (sim::HostCpuConfig), so every column
- * is bitwise stable across runs, machines and --jobs settings;
- * --measured-cpu restores the wall-clock-timed CPU baselines.
+ * deterministic host cost model (the kHost* constants of
+ * sim/config.hh), so every column is bitwise stable across runs,
+ * machines and --jobs settings; --measured-cpu restores the
+ * wall-clock-timed CPU baselines.
  *
  * Paper shapes to check against:
  *  - A single DPU is FAR slower than the CPU (100-300x for KMeans).

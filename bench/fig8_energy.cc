@@ -36,13 +36,12 @@ main(int argc, char **argv)
             return false;
         });
     constexpr unsigned kDpus = 2500;
-    const sim::EnergyConfig energy_cfg;
 
     Table table({"workload", "dpu_s", "cpu_s", "speedup", "pim_J",
                  "cpu_J", "energy_gain"});
 
     auto add_row = [&](const char *name, double dpu_s, double cpu_s) {
-        const auto e = estimateEnergy(energy_cfg, dpu_s, kDpus, cpu_s);
+        const auto e = estimateEnergy(dpu_s, kDpus, cpu_s);
         table.newRow()
             .cell(name)
             .cell(dpu_s, 6)

@@ -22,7 +22,7 @@
  */
 
 #include "bench/common.hh"
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/shared_array.hh"
 #include "workloads/arraybench.hh"
 

@@ -30,7 +30,7 @@
  */
 
 #include "bench/common.hh"
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/shared_array.hh"
 #include "workloads/arraybench.hh"
 
@@ -164,7 +164,7 @@ demoDeadlock()
 {
     sim::DpuConfig cfg;
     cfg.mram_bytes = 1 << 20;
-    sim::Dpu dpu(cfg, sim::TimingConfig{});
+    sim::Dpu dpu(cfg);
     dpu.addTasklet([](sim::DpuContext &ctx) {
         ctx.acquire(0);
         ctx.compute(100);
@@ -230,7 +230,7 @@ demoVrLivelock(const BenchOptions &opt)
     sim::DpuConfig dpu_cfg;
     dpu_cfg.mram_bytes = 1 << 20;
     dpu_cfg.watchdog_cycles = 300'000;
-    sim::Dpu dpu(dpu_cfg, sim::TimingConfig{});
+    sim::Dpu dpu(dpu_cfg);
 
     core::TraceBuffer trace(opt.trace_buf);
 
@@ -243,7 +243,7 @@ demoVrLivelock(const BenchOptions &opt)
         cfg.trace = &trace;
         dpu.setTraceSink(&trace);
     }
-    auto stm = core::makeStm(dpu, cfg);
+    auto stm = std::make_unique<core::Stm>(dpu, cfg);
 
     runtime::SharedArray32 cells(dpu, sim::Tier::Mram, 16);
     cells.fill(dpu, 0);

@@ -12,11 +12,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/boosted.hh"
 #include "runtime/shared_array.hh"
 #include "runtime/tx_hashmap.hh"
-#include "sim/pim_system.hh"
 
 using namespace pimstm;
 using namespace pimstm::sim;
@@ -36,8 +35,7 @@ smallDpu()
 double
 simulatedReadNs(Tier tier)
 {
-    TimingConfig timing;
-    Dpu dpu(smallDpu(), timing);
+    Dpu dpu(smallDpu());
     const u32 off = dpu.memory(tier).alloc(64);
     Cycles cost = 0;
     dpu.addTasklet([&](DpuContext &ctx) {
@@ -46,7 +44,7 @@ simulatedReadNs(Tier tier)
         cost = ctx.now() - t0;
     });
     dpu.run();
-    return timing.cyclesToSeconds(cost) * 1e9;
+    return cyclesToSeconds(cost) * 1e9;
 }
 
 void
@@ -56,7 +54,7 @@ BM_LocalMramRead64(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(ns = simulatedReadNs(Tier::Mram));
     state.counters["sim_ns"] = ns;
-    state.counters["paper_ns"] = 231.0;
+    state.counters["paper_ns"] = kLocalMramWordReadNs;
 }
 BENCHMARK(BM_LocalMramRead64);
 
@@ -73,15 +71,14 @@ BENCHMARK(BM_LocalWramRead64);
 void
 BM_InterDpuRead64(benchmark::State &state)
 {
-    PimSystem sys(4, 1, smallDpu(), TimingConfig{}, HostLinkConfig{});
+    const double read_s = kInterDpuWordReadUs * 1e-6;
     double us = 0;
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            us = sys.interDpuWordReadSeconds() * 1e6);
+        benchmark::DoNotOptimize(us = read_s * 1e6);
     state.counters["sim_us"] = us;
     state.counters["paper_us"] = 331.0;
     state.counters["vs_local_mram_x"] =
-        sys.interDpuWordReadSeconds() / (simulatedReadNs(Tier::Mram) * 1e-9);
+        read_s / (simulatedReadNs(Tier::Mram) * 1e-9);
 }
 BENCHMARK(BM_InterDpuRead64);
 
@@ -90,16 +87,15 @@ void
 BM_StmReadWriteCost(benchmark::State &state)
 {
     const auto kind = static_cast<core::StmKind>(state.range(0));
-    TimingConfig timing;
     double ns_per_op = 0;
     for (auto _ : state) {
-        Dpu dpu(smallDpu(), timing);
+        Dpu dpu(smallDpu());
         core::StmConfig cfg;
         cfg.kind = kind;
         cfg.num_tasklets = 1;
         cfg.max_read_set = 64;
         cfg.max_write_set = 64;
-        auto stm = core::makeStm(dpu, cfg);
+        auto stm = std::make_unique<core::Stm>(dpu, cfg);
         runtime::SharedArray32 arr(dpu, Tier::Mram, 32);
         dpu.addTasklet([&](DpuContext &ctx) {
             for (int i = 0; i < 16; ++i) {
@@ -110,8 +106,7 @@ BM_StmReadWriteCost(benchmark::State &state)
             }
         });
         dpu.run();
-        ns_per_op =
-            timing.cyclesToSeconds(dpu.stats().total_cycles) * 1e9 / 16;
+        ns_per_op = cyclesToSeconds(dpu.stats().total_cycles) * 1e9 / 16;
     }
     state.SetLabel(core::stmKindName(kind));
     state.counters["sim_ns_per_tx"] = ns_per_op;
@@ -131,16 +126,15 @@ void
 BM_MapOpCost(benchmark::State &state)
 {
     const bool boosted = state.range(0) != 0;
-    TimingConfig timing;
     double ns_per_op = 0;
     for (auto _ : state) {
-        Dpu dpu(smallDpu(), timing);
+        Dpu dpu(smallDpu());
         core::StmConfig cfg;
         cfg.num_tasklets = 1;
         cfg.max_read_set = 64;
         cfg.max_write_set = 64;
         cfg.boosting = boosted;
-        auto stm = core::makeStm(dpu, cfg);
+        auto stm = std::make_unique<core::Stm>(dpu, cfg);
         runtime::TxHashMap map(dpu, Tier::Mram, 64);
         std::unique_ptr<runtime::BoostedMap> bmap;
         if (boosted)
@@ -162,8 +156,7 @@ BM_MapOpCost(benchmark::State &state)
             }
         });
         dpu.run();
-        ns_per_op =
-            timing.cyclesToSeconds(dpu.stats().total_cycles) * 1e9 / 16;
+        ns_per_op = cyclesToSeconds(dpu.stats().total_cycles) * 1e9 / 16;
     }
     state.SetLabel(boosted ? "boosted" : "word");
     state.counters["sim_ns_per_tx"] = ns_per_op;

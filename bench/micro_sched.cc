@@ -41,7 +41,7 @@ runScenario(unsigned tasklets, u64 iters, bool always_switch,
     DpuConfig cfg;
     cfg.mram_bytes = 1 << 20;
     cfg.always_switch = always_switch;
-    Dpu dpu(cfg, TimingConfig{});
+    Dpu dpu(cfg);
     (void)iters;
     dpu.addTasklets(tasklets, body);
     const auto t0 = std::chrono::steady_clock::now();
@@ -90,12 +90,12 @@ runRelaunch(unsigned tasklets, u64 launches, const TaskletBody &body)
     cfg.mram_bytes = 1 << 20;
     RelaunchRun r;
     {
-        Dpu fresh(cfg, TimingConfig{});
+        Dpu fresh(cfg);
         fresh.addTasklets(tasklets, body);
         fresh.run();
         r.fresh = fresh.stats();
     }
-    Dpu dpu(cfg, TimingConfig{});
+    Dpu dpu(cfg);
     const auto t0 = std::chrono::steady_clock::now();
     for (u64 i = 0; i < launches; ++i) {
         dpu.addTasklets(tasklets, body);

@@ -23,7 +23,7 @@
 #include <random>
 
 #include "bench/common.hh"
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/dpu_pool.hh"
 #include "runtime/shared_array.hh"
 #include "sim/dpu.hh"
@@ -98,14 +98,14 @@ runBigWriteSet(unsigned ws_size, unsigned txs)
     DpuConfig cfg;
     cfg.mram_bytes = 4 * 1024 * 1024;
     cfg.seed = 9;
-    Dpu dpu(cfg, TimingConfig{});
+    Dpu dpu(cfg);
     StmConfig scfg;
     scfg.kind = StmKind::TinyEtlWb;
     scfg.num_tasklets = 2;
     scfg.max_read_set = 2 * ws_size + 8;
     scfg.max_write_set = ws_size + 8;
     scfg.data_words_hint = 4 * ws_size;
-    auto stm = makeStm(dpu, scfg);
+    auto stm = std::make_unique<Stm>(dpu, scfg);
     runtime::SharedArray32 arr(dpu, Tier::Mram, 4 * ws_size);
     arr.fill(dpu, 0);
 
@@ -144,7 +144,6 @@ runDpuCycle(bool pooled, unsigned reps, size_t touch_bytes)
     DpuConfig cfg;
     cfg.mram_bytes = 64 * 1024 * 1024;
     cfg.seed = 21;
-    const TimingConfig timing{};
     auto &pool = runtime::DpuPool::global();
 
     PoolRun r;
@@ -152,9 +151,9 @@ runDpuCycle(bool pooled, unsigned reps, size_t touch_bytes)
     for (unsigned rep = 0; rep < reps; ++rep) {
         std::unique_ptr<Dpu> owner;
         if (pooled)
-            owner = pool.acquire(cfg, timing);
+            owner = pool.acquire(cfg);
         else
-            owner = std::make_unique<Dpu>(cfg, timing);
+            owner = std::make_unique<Dpu>(cfg);
         Dpu &dpu = *owner;
         dpu.addTasklets(4, [&](DpuContext &ctx) {
             char buf[2048] = {};

@@ -7,7 +7,7 @@
  * Zipfian key popularity, batch formation under a latency budget,
  * bounded per-shard admission queues with shed-and-count overflow,
  * and p50/p99/p999 SLO accounting from arrival to completion —
- * including the PimSystem launch + host-link transfer cost.
+ * including the DPU launch + host-link transfer cost.
  *
  * Everything runs on simulated time, so output is bitwise identical
  * for any --jobs value, and the harness composes with the prior
@@ -239,8 +239,6 @@ class VacationServingBackend : public runtime::ServingBackend
         u32 initial_free = 50;
         unsigned tasklets = 4;
         u64 seed = 1;
-        sim::TimingConfig timing{};
-        sim::HostLinkConfig link{};
         sim::FaultPlan faults;
     };
 
@@ -250,13 +248,13 @@ class VacationServingBackend : public runtime::ServingBackend
         dpu_cfg.mram_bytes = 1 << 20;
         dpu_cfg.seed = deriveSeed(c.seed, 0x766163);
         dpu_cfg.faults = c.faults;
-        system_ = std::make_unique<sim::PimSystem>(
-            c.shards, c.shards, dpu_cfg, c.timing, c.link);
 
         shards_.resize(c.shards);
         for (unsigned s = 0; s < c.shards; ++s) {
             Shard &sh = shards_[s];
-            sh.dpu = &system_->dpu(s);
+            sim::DpuConfig shard_dpu_cfg = dpu_cfg;
+            shard_dpu_cfg.seed = deriveSeed(dpu_cfg.seed, 0xD9u, s);
+            sh.dpu = std::make_unique<sim::Dpu>(shard_dpu_cfg);
 
             core::StmConfig stm_cfg;
             stm_cfg.num_tasklets = c.tasklets;
@@ -266,7 +264,7 @@ class VacationServingBackend : public runtime::ServingBackend
                 2 * kTables + c.slots_per_customer + 8;
             stm_cfg.data_words_hint = kTables * c.items * 2
                 + c.customers * c.slots_per_customer;
-            sh.stm = core::makeStm(*sh.dpu, stm_cfg);
+            sh.stm = std::make_unique<core::Stm>(*sh.dpu, stm_cfg);
 
             Rng rng(deriveSeed(c.seed, 0x7661, s));
             for (u32 t = 0; t < kTables; ++t) {
@@ -344,19 +342,16 @@ class VacationServingBackend : public runtime::ServingBackend
 
         double worst = 0.0;
         for (size_t ii = 0; ii < involved.size(); ++ii) {
-            const double secs =
-                cfg_.timing.cyclesToSeconds(runs[ii].total_cycles);
+            const double secs = sim::cyclesToSeconds(runs[ii].total_cycles);
             cost.shard_busy_seconds[involved[ii]] = secs;
             worst = std::max(worst, secs);
             dpu_ += runs[ii];
         }
         // Request down / result up, through the same CPU-mediated
         // link model the KV fleet is charged with.
-        cost.round_seconds = system_->launchOverheadSeconds()
-            + system_->transferSeconds(
-                static_cast<double>(kReqBytesDown * total))
-            + system_->transferSeconds(
-                static_cast<double>(kRespBytesUp * total))
+        cost.round_seconds = sim::kLaunchOverheadSeconds
+            + sim::transferSeconds(static_cast<double>(kReqBytesDown * total))
+            + sim::transferSeconds(static_cast<double>(kRespBytesUp * total))
             + worst;
         return cost;
     }
@@ -410,7 +405,9 @@ class VacationServingBackend : public runtime::ServingBackend
 
     struct Shard
     {
-        sim::Dpu *dpu = nullptr;
+        /** Declared first, so the STM that references the DPU is
+         * destroyed before it. */
+        std::unique_ptr<sim::Dpu> dpu;
         std::unique_ptr<core::Stm> stm;
         runtime::SharedArray32 free[kTables];
         runtime::SharedArray32 price[kTables];
@@ -532,7 +529,6 @@ class VacationServingBackend : public runtime::ServingBackend
     }
 
     Config cfg_;
-    std::unique_ptr<sim::PimSystem> system_;
     std::vector<Shard> shards_;
     sim::DpuStats dpu_; ///< summed over every launch
     u64 reservations_ = 0;

@@ -12,7 +12,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/shared_array.hh"
 #include "util/table.hh"
 
@@ -39,7 +39,7 @@ runBank(core::StmKind kind, core::MetadataTier tier)
     sim::DpuConfig dpu_cfg;
     dpu_cfg.mram_bytes = 1 * 1024 * 1024;
     dpu_cfg.seed = 42;
-    sim::Dpu dpu(dpu_cfg, sim::TimingConfig{});
+    sim::Dpu dpu(dpu_cfg);
 
     core::StmConfig stm_cfg;
     stm_cfg.kind = kind;
@@ -48,7 +48,7 @@ runBank(core::StmKind kind, core::MetadataTier tier)
     stm_cfg.max_read_set = 16;
     stm_cfg.max_write_set = 8;
     stm_cfg.data_words_hint = kAccounts;
-    auto stm = core::makeStm(dpu, stm_cfg);
+    auto stm = std::make_unique<core::Stm>(dpu, stm_cfg);
 
     runtime::SharedArray32 accounts(dpu, sim::Tier::Mram, kAccounts);
     accounts.fill(dpu, kInitial);
@@ -77,8 +77,7 @@ runBank(core::StmKind kind, core::MetadataTier tier)
 
     BankResult r;
     r.total_ok = total == static_cast<u64>(kAccounts) * kInitial;
-    const double seconds =
-        dpu.timing().cyclesToSeconds(dpu.stats().total_cycles);
+    const double seconds = sim::cyclesToSeconds(dpu.stats().total_cycles);
     r.throughput = stm->stats().commits / seconds;
     r.abort_rate = stm->stats().abortRate();
     return r;

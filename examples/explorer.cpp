@@ -163,7 +163,6 @@ main(int argc, char **argv)
         spec.seed = seed;
         spec.mram_bytes = 16 * 1024 * 1024;
 
-        sim::TimingConfig timing;
         if (stm_name == "adaptive") {
             const AdaptiveResult r = adaptiveRun(factory, spec);
             std::cout << workload << " via adaptive selection -> "
@@ -174,8 +173,7 @@ main(int argc, char **argv)
             for (const auto &[name, tput] : r.probe_throughput)
                 std::cout << "  probe " << name << ": "
                           << core::formatRate(tput) << "\n";
-            core::printReport(std::cout, r.final.stm, r.final.dpu,
-                              timing);
+            core::printReport(std::cout, r.final.stm, r.final.dpu);
         } else {
             spec.kind = parseKind(stm_name);
             auto wl = factory(false);
@@ -184,7 +182,7 @@ main(int argc, char **argv)
                       << core::stmKindName(spec.kind) << " ("
                       << core::metadataTierName(spec.tier) << "), "
                       << tasklets << " tasklets:\n";
-            core::printReport(std::cout, r.stm, r.dpu, timing);
+            core::printReport(std::cout, r.stm, r.dpu);
         }
     } catch (const FatalError &e) {
         std::cerr << e.what() << "\n";

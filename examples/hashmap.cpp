@@ -11,7 +11,7 @@
 #include <iostream>
 #include <vector>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/tx_hashmap.hh"
 
 using namespace pimstm;
@@ -27,7 +27,7 @@ main()
 
     sim::DpuConfig dpu_cfg;
     dpu_cfg.mram_bytes = 1 * 1024 * 1024;
-    sim::Dpu dpu(dpu_cfg, sim::TimingConfig{});
+    sim::Dpu dpu(dpu_cfg);
 
     core::StmConfig stm_cfg;
     stm_cfg.kind = core::StmKind::TinyEtlWb;
@@ -35,7 +35,7 @@ main()
     stm_cfg.max_read_set = 128;
     stm_cfg.max_write_set = 16;
     stm_cfg.data_words_hint = kCapacity * 2;
-    auto stm = core::makeStm(dpu, stm_cfg);
+    auto stm = std::make_unique<core::Stm>(dpu, stm_cfg);
 
     TxHashMap map(dpu, sim::Tier::Mram, kCapacity);
 

@@ -13,7 +13,7 @@
 
 #include <iostream>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/shared_array.hh"
 
 using namespace pimstm;
@@ -24,7 +24,7 @@ main()
     // 1. A DPU: 64 KB WRAM, 64 MB MRAM, up to 24 tasklets.
     sim::DpuConfig dpu_cfg;
     dpu_cfg.mram_bytes = 1 * 1024 * 1024; // plenty for this demo
-    sim::Dpu dpu(dpu_cfg, sim::TimingConfig{});
+    sim::Dpu dpu(dpu_cfg);
 
     // 2. An STM instance. Every algorithm of the paper's taxonomy is
     //    one enum value away; metadata placement is a config knob.
@@ -32,7 +32,7 @@ main()
     stm_cfg.kind = core::StmKind::NOrec; // the paper's all-rounder
     stm_cfg.metadata_tier = core::MetadataTier::Wram;
     stm_cfg.num_tasklets = 8;
-    auto stm = core::makeStm(dpu, stm_cfg);
+    core::Stm stm(dpu, stm_cfg);
 
     // 3. Shared data lives in simulated DPU memory.
     runtime::SharedArray32 counter(dpu, sim::Tier::Mram, 1);
@@ -42,7 +42,7 @@ main()
     //    automatically by atomically().
     dpu.addTasklets(8, [&](sim::DpuContext &ctx) {
         for (int i = 0; i < 1000; ++i) {
-            core::atomically(*stm, ctx, [&](core::TxHandle &tx) {
+            core::atomically(stm, ctx, [&](core::TxHandle &tx) {
                 tx.write(counter.at(0), tx.read(counter.at(0)) + 1);
             });
         }
@@ -51,9 +51,8 @@ main()
     // 5. Run to completion (deterministic, cycle-accounted).
     dpu.run();
 
-    const auto &s = stm->stats();
-    const double seconds =
-        dpu.timing().cyclesToSeconds(dpu.stats().total_cycles);
+    const auto &s = stm.stats();
+    const double seconds = sim::cyclesToSeconds(dpu.stats().total_cycles);
     std::cout << "counter        = " << counter.peek(dpu, 0) << " (expected "
               << 8 * 1000 << ")\n"
               << "commits        = " << s.commits << "\n"

@@ -35,14 +35,14 @@ main()
     sim::DpuConfig dpu_cfg;
     dpu_cfg.mram_bytes = spec.mram_bytes;
     dpu_cfg.seed = spec.seed;
-    sim::Dpu dpu(dpu_cfg, spec.timing);
+    sim::Dpu dpu(dpu_cfg);
 
     core::StmConfig stm_cfg;
     stm_cfg.kind = spec.kind;
     stm_cfg.metadata_tier = spec.tier;
     stm_cfg.num_tasklets = spec.tasklets;
     workload.configure(stm_cfg);
-    auto stm = core::makeStm(dpu, stm_cfg);
+    auto stm = std::make_unique<core::Stm>(dpu, stm_cfg);
     workload.setup(dpu, *stm);
     dpu.addTasklets(spec.tasklets, [&](sim::DpuContext &ctx) {
         workload.tasklet(ctx, *stm);

@@ -221,9 +221,6 @@ class StmAlgorithm
     std::vector<u8> hot_state_;
 };
 
-/** The algorithm implementing @p kind, bound to the engine @p stm. */
-std::unique_ptr<StmAlgorithm> makeAlgorithm(Stm &stm, StmKind kind);
-
 } // namespace pimstm::core
 
 #endif // PIMSTM_CORE_ALGORITHM_HH

@@ -40,10 +40,9 @@ formatSeconds(double seconds)
 
 void
 printSummaryLine(std::ostream &os, const StmStats &stm,
-                 const sim::DpuStats &dpu,
-                 const sim::TimingConfig &timing)
+                 const sim::DpuStats &dpu)
 {
-    const double seconds = timing.cyclesToSeconds(dpu.total_cycles);
+    const double seconds = sim::cyclesToSeconds(dpu.total_cycles);
     const double tput =
         seconds > 0 ? static_cast<double>(stm.commits) / seconds : 0;
     os << stm.commits << " commits, " << stm.aborts << " aborts ("
@@ -54,9 +53,9 @@ printSummaryLine(std::ostream &os, const StmStats &stm,
 
 void
 printReport(std::ostream &os, const StmStats &stm,
-            const sim::DpuStats &dpu, const sim::TimingConfig &timing)
+            const sim::DpuStats &dpu)
 {
-    printSummaryLine(os, stm, dpu, timing);
+    printSummaryLine(os, stm, dpu);
 
     os << "  operations: " << stm.reads << " reads, " << stm.writes
        << " writes, " << stm.validations << " validations, "

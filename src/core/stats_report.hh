@@ -12,7 +12,6 @@
 #include <string>
 
 #include "core/stats.hh"
-#include "sim/config.hh"
 #include "sim/dpu.hh"
 
 namespace pimstm::core
@@ -26,8 +25,7 @@ std::string formatSeconds(double seconds);
 
 /** One line: commits, aborts, abort rate, throughput. */
 void printSummaryLine(std::ostream &os, const StmStats &stm,
-                      const sim::DpuStats &dpu,
-                      const sim::TimingConfig &timing);
+                      const sim::DpuStats &dpu);
 
 /**
  * Full block: the summary line plus abort-reason histogram, operation
@@ -35,8 +33,7 @@ void printSummaryLine(std::ostream &os, const StmStats &stm,
  * bars, as text).
  */
 void printReport(std::ostream &os, const StmStats &stm,
-                 const sim::DpuStats &dpu,
-                 const sim::TimingConfig &timing);
+                 const sim::DpuStats &dpu);
 
 } // namespace pimstm::core
 

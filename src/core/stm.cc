@@ -8,6 +8,9 @@
 #include <utility>
 
 #include "core/algorithm.hh"
+#include "core/norec.hh"
+#include "core/tiny.hh"
+#include "core/vr.hh"
 #include "util/logging.hh"
 
 namespace pimstm::core
@@ -15,6 +18,29 @@ namespace pimstm::core
 
 namespace
 {
+
+/** The algorithm implementing @p kind, bound to the engine @p stm:
+ * the runtime analogue of the paper's compile-time algorithm-selection
+ * macros. */
+std::unique_ptr<StmAlgorithm>
+makeAlgorithm(Stm &stm, StmKind kind)
+{
+    switch (kind) {
+      case StmKind::NOrec:
+        return std::make_unique<NOrecAlgorithm>(stm);
+      case StmKind::TinyEtlWb:
+      case StmKind::TinyEtlWt:
+      case StmKind::TinyCtlWb:
+      case StmKind::Tl2:
+        return std::make_unique<TinyAlgorithm>(stm, kind);
+      case StmKind::VrEtlWb:
+      case StmKind::VrEtlWt:
+      case StmKind::VrCtlWb:
+        return std::make_unique<VrAlgorithm>(stm, kind);
+      default:
+        fatal("unknown StmKind ", static_cast<int>(kind));
+    }
+}
 
 // Process-wide tx-set index counters; folded in by Stm::~Stm.
 std::atomic<u64> g_idx_lookups{0};
@@ -190,7 +216,7 @@ Stm::Stm(sim::Dpu &dpu, const StmConfig &cfg,
     : dpu_(dpu), cfg_(cfg), kinds_{cfg.kind}
 {
     fatalIf(cfg.num_tasklets == 0, "StmConfig::num_tasklets must be > 0");
-    fatalIf(cfg.num_tasklets > dpu.config().max_tasklets,
+    fatalIf(cfg.num_tasklets > sim::kMaxTasklets,
             "StmConfig::num_tasklets exceeds the DPU tasklet count");
     fatalIf(cfg.durable && cfg.serial_fallback_after != 0,
             "durable mode is incompatible with serial_fallback_after: "
@@ -309,10 +335,6 @@ Stm::reserveMetadata()
               "does not fit in ", sim::tierName(meta_tier));
     }
     meta_mem.alloc(sets_bytes);
-    if (meta_tier == Tier::Wram)
-        meta_bytes_wram_ += sets_bytes;
-    else
-        meta_bytes_mram_ += sets_bytes;
 
     // Durable redo/undo log: one slot per tasklet, always MRAM (the
     // only tier that survives a crash), sized for a full write set.
@@ -327,7 +349,6 @@ Stm::reserveMetadata()
                   " bytes) does not fit in MRAM");
         }
         log_base_ = dpu_.mram().alloc(log_bytes);
-        meta_bytes_mram_ += log_bytes;
         slot_state_.assign(cfg_.num_tasklets, 0);
         slot_seq_.assign(cfg_.num_tasklets, 0);
         slot_flip_.assign(cfg_.num_tasklets, 0);
@@ -356,10 +377,6 @@ Stm::reserveMetadata()
         }
     }
     dpu_.memory(table_tier).alloc(table_bytes);
-    if (table_tier == Tier::Wram)
-        meta_bytes_wram_ += table_bytes;
-    else
-        meta_bytes_mram_ += table_bytes;
     lock_table_tier_ = table_tier;
 
     // WRAM hot-lock cache (docs/adaptive.md): reserved up front (the
@@ -370,7 +387,6 @@ Stm::reserveMetadata()
         const size_t hot_bytes = static_cast<size_t>(hot) * entry_bytes;
         if (dpu_.wram().canAlloc(hot_bytes)) {
             dpu_.wram().alloc(hot_bytes);
-            meta_bytes_wram_ += hot_bytes;
             hot_capacity_ = hot;
         }
     }

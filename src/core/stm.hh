@@ -424,8 +424,6 @@ class Stm final
     void setBackoffParams(Cycles base, unsigned max_shift);
     /** Replace the wait-on-contention poll budget (0 = abort at once). */
     void setCmWaitPolls(unsigned polls) { cfg_.cm_wait_polls = polls; }
-    /** Replace the per-poll contention wait. */
-    void setCmWaitCycles(Cycles cycles) { cfg_.cm_wait_cycles = cycles; }
     /**
      * Dynamic tasklet throttle: tasklets with id >= @p limit park at
      * their next txStart (polling every kParkPollCycles) until the
@@ -434,7 +432,6 @@ class Stm final
      * switch's quiesce — so no ownership records are held while parked.
      */
     void setTaskletLimit(unsigned limit) { tasklet_limit_ = limit; }
-    unsigned taskletLimit() const { return tasklet_limit_; }
     /** @} */
 
     /**
@@ -460,10 +457,6 @@ class Stm final
 
     /** Entries in the ORec lock table (0 when no candidate has one). */
     u32 lockTableEntries() const { return lock_table_entries_; }
-
-    /** Bytes of simulated memory reserved for metadata, per tier. */
-    size_t metadataBytesWram() const { return meta_bytes_wram_; }
-    size_t metadataBytesMram() const { return meta_bytes_mram_; }
 
     /**
      * Ownership records (seqlock / ORecs / rw-lock words) currently
@@ -610,8 +603,6 @@ class Stm final
 
     Tier lock_table_tier_ = Tier::Mram;
     u32 lock_table_entries_ = 0;
-    size_t meta_bytes_wram_ = 0;
-    size_t meta_bytes_mram_ = 0;
 
     /** Dynamic tasklet throttle (0 = off; see setTaskletLimit). */
     unsigned tasklet_limit_ = 0;

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "cpu/norec_cpu.hh"
+#include "sim/config.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -13,18 +14,17 @@ namespace pimstm::cpu
 {
 
 double
-modelKMeansCpuSeconds(const KMeansCpuParams &params,
-                      const sim::HostCpuConfig &cpu)
+modelKMeansCpuSeconds(const KMeansCpuParams &params)
 {
     fatalIf(params.threads == 0, "KMeans CPU needs at least one thread");
     const double flops = 3.0 * params.clusters * params.dims;
     const double stm_ns =
-        2.0 * (params.dims + 1) * cpu.stm_op_ns + cpu.stm_tx_ns;
+        2.0 * (params.dims + 1) * sim::kHostStmOpNs + sim::kHostStmTxNs;
     const double seq_per_point_round =
-        flops / cpu.flops_per_s + stm_ns * 1e-9;
+        flops / sim::kHostFlopsPerS + stm_ns * 1e-9;
     const double wall_per_point_round =
         seq_per_point_round /
-        (params.threads * cpu.parallel_efficiency);
+        (params.threads * sim::kHostParallelEfficiency);
     return wall_per_point_round *
            static_cast<double>(params.total_points) * params.rounds;
 }

@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "sim/config.hh"
 #include "util/types.hh"
 
 namespace pimstm::cpu
@@ -46,8 +45,7 @@ KMeansCpuResult runKMeansCpu(const KMeansCpuParams &params);
  * cpu_s / speedup columns are bitwise stable (--measured-cpu restores
  * the timed baseline).
  */
-double modelKMeansCpuSeconds(const KMeansCpuParams &params,
-                             const sim::HostCpuConfig &cpu = {});
+double modelKMeansCpuSeconds(const KMeansCpuParams &params);
 
 } // namespace pimstm::cpu
 

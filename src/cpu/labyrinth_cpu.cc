@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "cpu/norec_cpu.hh"
+#include "sim/config.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -161,8 +162,7 @@ generateJobs(const Instance &inst, const LabyrinthCpuParams &params)
 } // namespace
 
 double
-modelLabyrinthCpuSeconds(const LabyrinthCpuParams &params,
-                         const sim::HostCpuConfig &cpu)
+modelLabyrinthCpuSeconds(const LabyrinthCpuParams &params)
 {
     fatalIf(params.threads == 0,
             "Labyrinth CPU needs at least one thread");
@@ -190,11 +190,11 @@ modelLabyrinthCpuSeconds(const LabyrinthCpuParams &params,
     }
 
     const double seq =
-        static_cast<double>(words) / cpu.mem_words_per_s +
-        (static_cast<double>(stm_ops) * cpu.stm_op_ns +
-         static_cast<double>(txs) * cpu.stm_tx_ns) *
+        static_cast<double>(words) / sim::kHostMemWordsPerS +
+        (static_cast<double>(stm_ops) * sim::kHostStmOpNs +
+         static_cast<double>(txs) * sim::kHostStmTxNs) *
             1e-9;
-    return seq / (params.threads * cpu.parallel_efficiency);
+    return seq / (params.threads * sim::kHostParallelEfficiency);
 }
 
 LabyrinthCpuResult

@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "sim/config.hh"
 #include "util/types.hh"
 
 namespace pimstm::cpu
@@ -47,8 +46,7 @@ LabyrinthCpuResult runLabyrinthCpu(const LabyrinthCpuParams &params);
  * calibrated host rates. Bitwise stable across runs and machines;
  * --measured-cpu in the figure harnesses restores the timed baseline.
  */
-double modelLabyrinthCpuSeconds(const LabyrinthCpuParams &params,
-                                const sim::HostCpuConfig &cpu = {});
+double modelLabyrinthCpuSeconds(const LabyrinthCpuParams &params);
 
 } // namespace pimstm::cpu
 

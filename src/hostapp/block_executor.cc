@@ -8,13 +8,13 @@ namespace pimstm::hostapp
 BlockExecutor::BlockExecutor(const BlockExecutorConfig &cfg)
     : cfg_(cfg)
 {
-    fatalIf(cfg.tasklets == 0 || cfg.tasklets > 24,
-            "tasklets must be in [1, 24]");
+    fatalIf(cfg.tasklets == 0 || cfg.tasklets > sim::kMaxTasklets,
+            "tasklets must be in [1, ", sim::kMaxTasklets, "]");
 
     sim::DpuConfig dpu_cfg;
     dpu_cfg.mram_bytes = cfg.mram_bytes;
     dpu_cfg.seed = cfg.seed;
-    dpu_ = std::make_unique<sim::Dpu>(dpu_cfg, cfg.timing);
+    dpu_ = std::make_unique<sim::Dpu>(dpu_cfg);
 
     core::StmConfig stm_cfg;
     stm_cfg.kind = cfg.kind;
@@ -23,7 +23,7 @@ BlockExecutor::BlockExecutor(const BlockExecutorConfig &cfg)
     stm_cfg.max_read_set = cfg.max_read_set;
     stm_cfg.max_write_set = cfg.max_write_set;
     stm_cfg.data_words_hint = cfg.state_words + 1;
-    stm_ = core::makeStm(*dpu_, stm_cfg);
+    stm_ = std::make_unique<core::Stm>(*dpu_, stm_cfg);
 
     state_ = runtime::SharedArray32(*dpu_, sim::Tier::Mram,
                                     cfg.state_words);
@@ -71,7 +71,7 @@ BlockExecutor::run(u32 num_txs, const BlockBody &body, bool ordered)
     }
 
     BlockResult r;
-    r.seconds = cfg_.timing.cyclesToSeconds(dpu_->stats().total_cycles);
+    r.seconds = sim::cyclesToSeconds(dpu_->stats().total_cycles);
     r.commits = stm_->stats().commits - commits_before;
     r.aborts = stm_->stats().aborts - aborts_before;
     const u64 total = r.commits + r.aborts;

@@ -24,7 +24,7 @@
 #include <functional>
 #include <memory>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/shared_array.hh"
 
 namespace pimstm::hostapp
@@ -44,7 +44,6 @@ struct BlockExecutorConfig
     unsigned max_write_set = 64;
     size_t mram_bytes = 4 * 1024 * 1024;
     u64 seed = 1;
-    sim::TimingConfig timing{};
 };
 
 struct BlockResult

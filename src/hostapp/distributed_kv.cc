@@ -25,7 +25,7 @@ namespace
 // fragments carry (op, key, token) down and (vote, value, token) up;
 // decisions carry (verdict, key, value, token) down and one ack word
 // up. All rounds are batched copies, so totals feed
-// PimSystem::transferSeconds directly.
+// sim::transferSeconds directly.
 constexpr size_t kOpBytesDown = 12;
 constexpr size_t kOpBytesUp = 8;
 constexpr size_t kLocalMoveBytesDown = 16;
@@ -152,8 +152,9 @@ struct DistributedKv::InFlight
 DistributedKv::DistributedKv(const DistributedKvConfig &cfg) : cfg_(cfg)
 {
     fatalIf(cfg.shards == 0, "DistributedKv needs at least one shard");
-    fatalIf(cfg.tasklets_per_dpu == 0 || cfg.tasklets_per_dpu > 24,
-            "tasklets_per_dpu must be in [1, 24]");
+    fatalIf(cfg.tasklets_per_dpu == 0 ||
+                cfg.tasklets_per_dpu > sim::kMaxTasklets,
+            "tasklets_per_dpu must be in [1, ", sim::kMaxTasklets, "]");
     fatalIf(cfg.serial_token_after == 0,
             "serial_token_after must be >= 1");
     fatalIf(cfg.max_inflight_per_shard == 0,
@@ -166,8 +167,6 @@ DistributedKv::DistributedKv(const DistributedKvConfig &cfg) : cfg_(cfg)
     dpu_cfg.mram_bytes = cfg.mram_bytes;
     dpu_cfg.seed = deriveSeed(cfg.seed, 0x6b76);
     dpu_cfg.faults = cfg.faults;
-    system_ = std::make_unique<sim::PimSystem>(
-        cfg.shards, cfg.shards, dpu_cfg, cfg.timing, cfg.link);
 
     u32 pin_cap = 16;
     while (pin_cap < 2 * cfg.max_inflight_per_shard)
@@ -176,7 +175,9 @@ DistributedKv::DistributedKv(const DistributedKvConfig &cfg) : cfg_(cfg)
     shards_.resize(cfg.shards);
     for (unsigned s = 0; s < cfg.shards; ++s) {
         auto &shard = shards_[s];
-        shard.dpu = &system_->dpu(s);
+        sim::DpuConfig shard_dpu_cfg = dpu_cfg;
+        shard_dpu_cfg.seed = deriveSeed(dpu_cfg.seed, 0xD9u, s);
+        shard.dpu = std::make_unique<sim::Dpu>(shard_dpu_cfg);
 
         core::StmConfig stm_cfg;
         stm_cfg.kind = cfg.kind;
@@ -195,10 +196,10 @@ DistributedKv::DistributedKv(const DistributedKvConfig &cfg) : cfg_(cfg)
         stm_cfg.max_write_set = 8;
         stm_cfg.data_words_hint = cfg.capacity_per_shard * 2 + pin_cap * 2;
         stm_cfg.serial_fallback_after =
-            cfg.durable ? 0 : cfg.stm_serial_fallback_after;
+            cfg.durable ? 0 : kStmSerialFallbackAfter;
         stm_cfg.boosting = cfg.boosting;
         stm_cfg.durable = cfg.durable;
-        shard.stm = core::makeStm(*shard.dpu, stm_cfg);
+        shard.stm = std::make_unique<core::Stm>(*shard.dpu, stm_cfg);
 
         shard.map = runtime::TxHashMap(*shard.dpu, sim::Tier::Mram,
                                        cfg.capacity_per_shard);
@@ -212,7 +213,7 @@ DistributedKv::DistributedKv(const DistributedKvConfig &cfg) : cfg_(cfg)
                 *shard.dpu, *shard.stm, shard.pins, 64,
                 core::StructureId::KvPins);
         }
-        // The hash-map bucket image is host-loaded after makeStm armed
+        // The hash-map bucket image is host-loaded after the Stm armed
         // persist tracking; fence it so a crash in the first launch
         // cannot revert the table structure to zeroes.
         if (cfg.durable)
@@ -485,8 +486,7 @@ DistributedKv::runLaunch(std::vector<std::vector<WorkItem>> &work,
         const auto charge_round = [&] {
             const auto &st = shard.dpu->stats();
             shard.dpu_stats += st;
-            const double secs =
-                cfg_.timing.cyclesToSeconds(st.total_cycles);
+            const double secs = sim::cyclesToSeconds(st.total_cycles);
             shard.busy_seconds += secs;
             runs[ii].seconds += secs;
             for (const auto &f : shard.dpu->taskletFaults())
@@ -558,9 +558,9 @@ DistributedKv::chargeRound(const std::vector<std::vector<WorkItem>> &work,
             }
         }
     }
-    const double t = system_->launchOverheadSeconds() +
-                     system_->transferSeconds(static_cast<double>(down)) +
-                     system_->transferSeconds(static_cast<double>(up)) +
+    const double t = sim::kLaunchOverheadSeconds +
+                     sim::transferSeconds(static_cast<double>(down)) +
+                     sim::transferSeconds(static_cast<double>(up)) +
                      worst_shard_seconds;
     elapsed_seconds_ += t;
     stats_.bytes_down += down;
@@ -1070,7 +1070,7 @@ DistributedKv::recyclePins()
         bytes += static_cast<double>(shard.pins.capacity()) * 8;
     }
     if (bytes > 0)
-        elapsed_seconds_ += system_->transferSeconds(bytes);
+        elapsed_seconds_ += sim::transferSeconds(bytes);
 }
 
 core::StmStats

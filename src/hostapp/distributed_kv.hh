@@ -12,8 +12,8 @@
  *    execute() groups a batch by shard, runs every involved DPU
  *    concurrently (host threads via util::ThreadPool; the modelled
  *    batch takes as long as the slowest shard) and charges the
- *    PimSystem host-link cost model for every fragment/vote/decision
- *    transfer and launch.
+ *    host-link cost model of sim/config.hh for every
+ *    fragment/vote/decision transfer and launch.
  *  - Cross-shard transactions (movek: atomically relocate a key) run
  *    under host-coordinated two-phase commit over per-shard fragments:
  *    each involved DPU executes its fragment as a shard-local STM
@@ -35,12 +35,11 @@
 #include <string>
 #include <vector>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/boosted.hh"
 #include "runtime/tx_hashmap.hh"
 #include "sim/config.hh"
 #include "sim/dpu.hh"
-#include "sim/pim_system.hh"
 
 namespace pimstm::hostapp
 {
@@ -215,6 +214,11 @@ struct TxPlan
 /** Classify @p tx for an @p shards-way store. Keys must be valid. */
 TxPlan planCrossShardTx(const CrossShardTx &tx, unsigned shards);
 
+/** In-DPU backstop: a shard-local transaction escalates to
+ * serial-irrevocable mode after this many consecutive aborts
+ * (StmConfig::serial_fallback_after; off for durable shards). */
+constexpr unsigned kStmSerialFallbackAfter = 64;
+
 struct DistributedKvConfig
 {
     unsigned shards = 4;
@@ -224,8 +228,6 @@ struct DistributedKvConfig
     unsigned tasklets_per_dpu = 11;
     size_t mram_bytes = 4 * 1024 * 1024;
     u64 seed = 1;
-    sim::TimingConfig timing{};
-    sim::HostLinkConfig link{};
 
     /** Fault-injection plan applied to every shard DPU (operation
      * counts accumulate across all launches of the instance, so a
@@ -238,11 +240,6 @@ struct DistributedKvConfig
      * transactions resolve one at a time, which breaks any
      * deterministic conflict cycle. Must be >= 1. */
     unsigned serial_token_after = 4;
-
-    /** In-DPU backstop (PR 4 machinery): escalate a shard-local
-     * transaction to serial-irrevocable mode after this many
-     * consecutive aborts. 0 disables. */
-    unsigned stm_serial_fallback_after = 64;
 
     /** Pin-table capacity per shard; bounds in-flight fragments (a
      * prepare that cannot pin votes Conflict and retries). */
@@ -258,7 +255,7 @@ struct DistributedKvConfig
      * shard STM logs its commits at the MRAM persist boundary, and a
      * whole-DPU shard crash (`dpu-crash=` fault plan) is recovered
      * in-launch — unfinished fragments re-run, finished outcomes are
-     * host state and survive. Forces stm_serial_fallback_after off
+     * host state and survive. Forces kStmSerialFallbackAfter off
      * (incompatible with durable mode) and excludes boosting. */
     bool durable = false;
 };
@@ -398,7 +395,9 @@ class DistributedKv
   private:
     struct Shard
     {
-        sim::Dpu *dpu = nullptr; ///< owned by system_
+        /** Declared first, so the STM and the views that reference
+         * the DPU are destroyed before it (STMs unregister from it). */
+        std::unique_ptr<sim::Dpu> dpu;
         std::unique_ptr<core::Stm> stm;
         runtime::TxHashMap map;
         runtime::TxHashMap pins; ///< key -> in-flight tx token
@@ -445,9 +444,7 @@ class DistributedKv
     const InFlight *findPersisted(u32 token) const;
 
     DistributedKvConfig cfg_;
-    std::unique_ptr<sim::PimSystem> system_;
-    std::vector<Shard> shards_; ///< destroyed before system_ (STMs
-                                ///< unregister from their DPUs)
+    std::vector<Shard> shards_;
     double elapsed_seconds_ = 0;
     u32 next_token_ = 1;
     TwoPcStats stats_;

@@ -35,29 +35,27 @@ struct EnergyEstimate
 
 /** PIM energy: system TDP scaled by the fraction of DPUs in use. */
 inline double
-pimEnergyJoules(const sim::EnergyConfig &cfg, double seconds,
-                unsigned dpus_used)
+pimEnergyJoules(double seconds, unsigned dpus_used)
 {
     const double fraction =
         std::min(1.0, static_cast<double>(dpus_used) /
-                          static_cast<double>(cfg.pim_system_dpus));
-    return cfg.pim_system_tdp_w * fraction * seconds;
+                          static_cast<double>(sim::kUpmemSystemDpus));
+    return sim::kUpmemSystemTdpW * fraction * seconds;
 }
 
 /** CPU energy: package + DRAM power times time. */
 inline double
-cpuEnergyJoules(const sim::EnergyConfig &cfg, double seconds)
+cpuEnergyJoules(double seconds)
 {
-    return (cfg.cpu_package_w + cfg.cpu_dram_w) * seconds;
+    return (sim::kCpuPackageW + sim::kCpuDramW) * seconds;
 }
 
 inline EnergyEstimate
-estimateEnergy(const sim::EnergyConfig &cfg, double pim_seconds,
-               unsigned dpus_used, double cpu_seconds)
+estimateEnergy(double pim_seconds, unsigned dpus_used, double cpu_seconds)
 {
     EnergyEstimate e;
-    e.pim_joules = pimEnergyJoules(cfg, pim_seconds, dpus_used);
-    e.cpu_joules = cpuEnergyJoules(cfg, cpu_seconds);
+    e.pim_joules = pimEnergyJoules(pim_seconds, dpus_used);
+    e.cpu_joules = cpuEnergyJoules(cpu_seconds);
     return e;
 }
 

@@ -20,19 +20,17 @@ namespace
  * charged against the calibrated merge rate instead of being timed, so
  * the merge column of Fig. 7 is bitwise stable across runs. */
 double
-modelMergeSeconds(unsigned dpus, u32 clusters, u32 dims, u32 rounds,
-                  const sim::HostCpuConfig &cpu)
+modelMergeSeconds(unsigned dpus, u32 clusters, u32 dims, u32 rounds)
 {
     const double adds = static_cast<double>(clusters) * (dims + 1) *
                         dpus * rounds;
-    return adds / cpu.merge_adds_per_s;
+    return adds / sim::kHostMergeAddsPerS;
 }
 
 } // namespace
 
 MultiDpuTime
-runKMeansMultiDpu(unsigned dpus, const MultiKMeansParams &params,
-                  const sim::HostLinkConfig &link)
+runKMeansMultiDpu(unsigned dpus, const MultiKMeansParams &params)
 {
     fatalIf(dpus == 0, "need at least one DPU");
     const unsigned sample = std::min(params.sample_dpus, dpus);
@@ -40,7 +38,6 @@ runKMeansMultiDpu(unsigned dpus, const MultiKMeansParams &params,
     // Per-DPU compute: simulate `sample` DPUs with distinct seeds (the
     // shards are statistically identical; the max over the sample is
     // the modelled critical path).
-    sim::TimingConfig timing;
     std::vector<double> sample_seconds(sample, 0.0);
     util::parallelFor(sample, [&](size_t d) {
         workloads::KMeansParams kp;
@@ -57,7 +54,6 @@ runKMeansMultiDpu(unsigned dpus, const MultiKMeansParams &params,
         spec.tasklets = params.tasklets;
         spec.seed = deriveSeed(params.seed, 0xd1d1, d);
         spec.mram_bytes = 16 * 1024 * 1024;
-        spec.timing = timing;
         sample_seconds[d] = runWorkload(wl, spec).seconds;
     });
     double worst = 0;
@@ -76,30 +72,27 @@ runKMeansMultiDpu(unsigned dpus, const MultiKMeansParams &params,
     const double total_bytes =
         static_cast<double>(down_bytes + up_bytes) * dpus * params.rounds;
     t.transfer_seconds =
-        params.rounds * 2 * link.copy_base_us * 1e-6 +
-        total_bytes / (link.host_copy_bandwidth_gbps * 1e9);
+        params.rounds * 2 * sim::kCopyBaseUs * 1e-6 +
+        total_bytes / (sim::kHostCopyBandwidthGbps * 1e9);
 
     // Input point distribution (once).
     const double input_bytes = static_cast<double>(params.points_per_dpu) *
                                params.dims * 4 * dpus;
     t.transfer_seconds +=
-        input_bytes / (link.host_copy_bandwidth_gbps * 1e9);
+        input_bytes / (sim::kHostCopyBandwidthGbps * 1e9);
 
     t.merge_seconds = modelMergeSeconds(dpus, params.clusters,
-                                        params.dims, params.rounds,
-                                        sim::HostCpuConfig{});
-    t.launch_seconds = params.rounds * link.launch_overhead_us * 1e-6;
+                                        params.dims, params.rounds);
+    t.launch_seconds = params.rounds * sim::kLaunchOverheadUs * 1e-6;
     return t;
 }
 
 MultiDpuTime
-runLabyrinthMultiDpu(unsigned dpus, const MultiLabyrinthParams &params,
-                     const sim::HostLinkConfig &link)
+runLabyrinthMultiDpu(unsigned dpus, const MultiLabyrinthParams &params)
 {
     fatalIf(dpus == 0, "need at least one DPU");
     const unsigned sample = std::min(params.sample_dpus, dpus);
 
-    sim::TimingConfig timing;
     std::vector<double> sample_seconds(sample, 0.0);
     util::parallelFor(sample, [&](size_t d) {
         workloads::LabyrinthParams lp;
@@ -115,7 +108,6 @@ runLabyrinthMultiDpu(unsigned dpus, const MultiLabyrinthParams &params,
         spec.tasklets = params.tasklets;
         spec.seed = deriveSeed(params.seed, 0x1abcafe, d);
         spec.mram_bytes = 64 * 1024 * 1024;
-        spec.timing = timing;
         sample_seconds[d] = runWorkload(wl, spec).seconds;
     });
     double worst = 0;
@@ -133,9 +125,9 @@ runLabyrinthMultiDpu(unsigned dpus, const MultiLabyrinthParams &params,
     const double total_bytes =
         static_cast<double>(grid_bytes + job_bytes) * dpus;
     t.transfer_seconds =
-        2 * link.copy_base_us * 1e-6 +
-        total_bytes / (link.host_copy_bandwidth_gbps * 1e9);
-    t.launch_seconds = link.launch_overhead_us * 1e-6;
+        2 * sim::kCopyBaseUs * 1e-6 +
+        total_bytes / (sim::kHostCopyBandwidthGbps * 1e9);
+    t.launch_seconds = sim::kLaunchOverheadSeconds;
     return t;
 }
 

@@ -18,7 +18,6 @@
 #define PIMSTM_HOSTAPP_MULTI_DPU_HH
 
 #include "core/stm.hh"
-#include "sim/config.hh"
 #include "util/types.hh"
 
 namespace pimstm::hostapp
@@ -72,13 +71,11 @@ struct MultiDpuTime
  * Simulates @p params.sample_dpus DPUs with distinct shards/seeds.
  */
 MultiDpuTime runKMeansMultiDpu(unsigned dpus,
-                               const MultiKMeansParams &params,
-                               const sim::HostLinkConfig &link = {});
+                               const MultiKMeansParams &params);
 
 /** Model the multi-DPU Labyrinth execution for @p dpus DPUs. */
 MultiDpuTime runLabyrinthMultiDpu(unsigned dpus,
-                                  const MultiLabyrinthParams &params,
-                                  const sim::HostLinkConfig &link = {});
+                                  const MultiLabyrinthParams &params);
 
 } // namespace pimstm::hostapp
 

@@ -23,8 +23,7 @@ DpuPool::global()
 }
 
 std::unique_ptr<sim::Dpu>
-DpuPool::acquire(const sim::DpuConfig &cfg,
-                 const sim::TimingConfig &timing)
+DpuPool::acquire(const sim::DpuConfig &cfg)
 {
     std::unique_ptr<sim::Dpu> dpu;
     {
@@ -38,10 +37,10 @@ DpuPool::acquire(const sim::DpuConfig &cfg,
         }
     }
     if (dpu) {
-        dpu->recycle(cfg, timing); // memset outside the lock
+        dpu->recycle(cfg); // memset outside the lock
         return dpu;
     }
-    return std::make_unique<sim::Dpu>(cfg, timing);
+    return std::make_unique<sim::Dpu>(cfg);
 }
 
 void

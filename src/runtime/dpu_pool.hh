@@ -33,10 +33,9 @@ class DpuPool
     /** The process-wide pool. */
     static DpuPool &global();
 
-    /** A Dpu in the fresh-constructed state for (cfg, timing): a
-     * recycled pooled instance when available, else a new one. */
-    std::unique_ptr<sim::Dpu> acquire(const sim::DpuConfig &cfg,
-                                      const sim::TimingConfig &timing);
+    /** A Dpu in the fresh-constructed state for @p cfg: a recycled
+     * pooled instance when available, else a new one. */
+    std::unique_ptr<sim::Dpu> acquire(const sim::DpuConfig &cfg);
 
     /**
      * Return a Dpu for reuse. Callers must only release instances

@@ -12,8 +12,8 @@ namespace pimstm::runtime
 RunResult
 runWorkload(Workload &workload, const RunSpec &spec)
 {
-    fatalIf(spec.tasklets == 0 || spec.tasklets > 24,
-            "tasklet count must be in [1, 24]");
+    fatalIf(spec.tasklets == 0 || spec.tasklets > sim::kMaxTasklets,
+            "tasklet count must be in [1, ", sim::kMaxTasklets, "]");
 
     util::tuneHostAllocator();
 
@@ -30,7 +30,7 @@ runWorkload(Workload &workload, const RunSpec &spec)
     // fresh construction, without re-zero-filling a 64 MB MRAM. On any
     // exception below, the unique_ptr destroys the instance instead of
     // pooling it (a Dpu unwound mid-run is not reusable).
-    auto dpu_owner = DpuPool::global().acquire(dpu_cfg, spec.timing);
+    auto dpu_owner = DpuPool::global().acquire(dpu_cfg);
     sim::Dpu &dpu = *dpu_owner;
 
     core::StmConfig stm_cfg;
@@ -86,7 +86,7 @@ runWorkload(Workload &workload, const RunSpec &spec)
 
     // May throw FatalError when the placement is infeasible — that is
     // the paper's "cannot run with WRAM metadata" case.
-    auto stm = core::makeStm(
+    auto stm = std::make_unique<core::Stm>(
         dpu, stm_cfg,
         adaptive_on ? spec.adaptive.kind_candidates
                     : std::vector<core::StmKind>{});
@@ -136,7 +136,7 @@ runWorkload(Workload &workload, const RunSpec &spec)
             ++restarts;
             crashed_rounds += dpu.stats();
             dpu.resetRun(/*reset_faults=*/false);
-            recoverDpu(dpu, *stm_ptr);
+            stm_ptr->recoverAfterCrash();
             dpu.addTasklets(spec.tasklets,
                             [wl, stm_ptr](sim::DpuContext &ctx) {
                                 wl->tasklet(ctx, *stm_ptr);
@@ -153,7 +153,7 @@ runWorkload(Workload &workload, const RunSpec &spec)
         r.adaptive = controller->report();
     r.dpu = dpu.stats();
     r.dpu += crashed_rounds; // rounds ended by a recovered DPU crash
-    r.seconds = spec.timing.cyclesToSeconds(r.dpu.total_cycles);
+    r.seconds = sim::cyclesToSeconds(r.dpu.total_cycles);
     r.throughput =
         r.seconds > 0 ? static_cast<double>(r.stm.commits) / r.seconds : 0;
     r.app_ops_per_sec =
@@ -181,12 +181,6 @@ runWorkload(Workload &workload, const RunSpec &spec)
     stm.reset();
     DpuPool::global().release(std::move(dpu_owner));
     return r;
-}
-
-core::RecoveryReport
-recoverDpu(sim::Dpu &, core::Stm &stm)
-{
-    return stm.recoverAfterCrash();
 }
 
 std::vector<RunOutcome>

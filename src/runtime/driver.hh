@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "core/trace.hh"
 #include "sim/dpu.hh"
 
@@ -115,8 +115,6 @@ struct RunSpec
      * results — used by tests/CI to cross-check the elided fast path. */
     bool sim_always_switch = false;
 
-    sim::TimingConfig timing{};
-
     /** Deterministic fault-injection plan (empty = no injection; see
      * docs/robustness.md). */
     sim::FaultPlan faults;
@@ -207,15 +205,6 @@ struct RunResult
  * sweep harnesses catch this to mark the point "not runnable".
  */
 RunResult runWorkload(Workload &workload, const RunSpec &spec);
-
-/**
- * Host-side recovery of a crashed DPU (docs/durability.md): replays
- * committed redo records, rolls back interrupted in-place writers,
- * truncates the durable log and clears every stale lock. Called by the
- * driver's crash-restart loop; exposed for tests and embedders that
- * run the Dpu themselves.
- */
-core::RecoveryReport recoverDpu(sim::Dpu &dpu, core::Stm &stm);
 
 /** Creates a fresh problem instance per run (runs must not share
  * workload state when they execute concurrently). */

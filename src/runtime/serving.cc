@@ -25,16 +25,13 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig &cfg, u64 seed)
 {
     panicIf(cfg.rate_per_s <= 0, "arrival rate must be positive");
     if (cfg_.kind == ArrivalKind::Bursty) {
-        const double f = cfg_.burst_fraction;
-        const double B = cfg_.burst_factor;
-        panicIf(f <= 0 || f >= 1, "burst_fraction must be in (0,1)");
-        panicIf(B <= 1, "burst_factor must exceed 1");
-        panicIf(cfg_.burst_dwell_s <= 0, "burst_dwell_s must be positive");
+        const double f = kBurstFraction;
+        const double B = kBurstFactor;
         // Long-run mean rate (1-f)*normal + f*B*normal == rate_per_s.
         normal_rate_ = cfg_.rate_per_s / (1.0 - f + f * B);
         burst_rate_ = B * normal_rate_;
         // Fraction of time bursting f = dwell_b / (dwell_b + dwell_n).
-        dwell_normal_s_ = cfg_.burst_dwell_s * (1.0 - f) / f;
+        dwell_normal_s_ = kBurstDwellS * (1.0 - f) / f;
         bursting_ = false;
         state_end_s_ = exponential(dwell_normal_s_);
     }
@@ -66,8 +63,7 @@ ArrivalProcess::next()
         now_ = state_end_s_;
         bursting_ = !bursting_;
         state_end_s_ = now_
-            + exponential(bursting_ ? cfg_.burst_dwell_s
-                                    : dwell_normal_s_);
+            + exponential(bursting_ ? kBurstDwellS : dwell_normal_s_);
     }
 }
 
@@ -389,8 +385,7 @@ meetsSlo(const ServingReport &r, const SloSpec &slo)
 
 CapacityResult
 findCapacity(const std::function<ServingReport(double)> &run,
-             const SloSpec &slo, double lo_rate, double max_rate,
-             unsigned refine_iters)
+             const SloSpec &slo, double lo_rate, double max_rate)
 {
     panicIf(lo_rate <= 0 || max_rate < lo_rate,
             "bad capacity search bracket");
@@ -430,7 +425,7 @@ findCapacity(const std::function<ServingReport(double)> &run,
         return res; // SLO held all the way to max_rate
 
     // Bisection.
-    for (unsigned i = 0; i < refine_iters; ++i) {
+    for (unsigned i = 0; i < kCapacityRefineIters; ++i) {
         const double mid = 0.5 * (good + bad);
         if (probe(mid))
             good = mid;

@@ -22,7 +22,7 @@
  *
  * Time model: the harness runs on *simulated* time only. The clock
  * advances by arrival timestamps (drawn from the seeded stream) and
- * by the backend's modelled round cost (DPU cycles + PimSystem link
+ * by the backend's modelled round cost (DPU cycles + host-link
  * transfers). No host wall-clock ever enters a decision, so a serving
  * run is bitwise deterministic for any host thread count.
  */
@@ -54,7 +54,7 @@ enum class ArrivalKind : u8
     /**
      * Bursty: a 2-state Markov-modulated Poisson process. The process
      * alternates between a normal state and a burst state whose rate
-     * is `burst_factor` times the normal rate; dwell times in each
+     * is kBurstFactor times the normal rate; dwell times in each
      * state are exponential. Parameters are chosen so the *long-run
      * mean* rate equals `rate_per_s`, which makes Poisson and Bursty
      * runs directly comparable at equal offered load.
@@ -62,16 +62,20 @@ enum class ArrivalKind : u8
     Bursty,
 };
 
+// Bursty (MMPP-2) shape; unused by Poisson arrivals.
+constexpr double kBurstFactor = 8.0;    ///< burst rate / normal rate
+constexpr double kBurstFraction = 0.10; ///< long-run fraction of time bursting
+constexpr double kBurstDwellS = 2e-3;   ///< mean dwell per visit to the burst
+static_assert(kBurstFraction > 0 && kBurstFraction < 1,
+              "kBurstFraction must be in (0,1)");
+static_assert(kBurstFactor > 1, "kBurstFactor must exceed 1");
+static_assert(kBurstDwellS > 0, "kBurstDwellS must be positive");
+
 /** Parameters of an arrival process. */
 struct ArrivalConfig
 {
     ArrivalKind kind = ArrivalKind::Poisson;
     double rate_per_s = 50e3; ///< long-run mean arrival rate
-
-    // Bursty (MMPP-2) shape knobs; ignored for Poisson.
-    double burst_factor = 8.0;    ///< burst rate / normal rate
-    double burst_fraction = 0.10; ///< long-run fraction of time bursting
-    double burst_dwell_s = 2e-3;  ///< mean dwell per visit to the burst
 };
 
 /**
@@ -354,18 +358,20 @@ struct CapacityResult
     std::vector<CapacityProbe> probes;
 };
 
+/** Bisection steps findCapacity spends refining the bracketed knee. */
+constexpr unsigned kCapacityRefineIters = 7;
+
 /**
  * Max-throughput-under-SLO search: @p run maps an offered rate to a
  * ServingReport (fresh backend + fresh stream per probe, same seed).
  * Doubles from @p lo_rate until the SLO breaks (or @p max_rate),
- * then bisects the bracket for @p refine_iters iterations.
+ * then bisects the bracket for kCapacityRefineIters iterations.
  * Deterministic: probe sequence depends only on the arguments and the
  * (deterministic) reports.
  */
 CapacityResult
 findCapacity(const std::function<ServingReport(double)> &run,
-             const SloSpec &slo, double lo_rate, double max_rate,
-             unsigned refine_iters = 7);
+             const SloSpec &slo, double lo_rate, double max_rate);
 
 //
 // Reporting

@@ -146,8 +146,7 @@ void
 DpuContext::touchRead(Tier tier, size_t bytes)
 {
     if (tier == Tier::Wram) {
-        const u64 instrs =
-            dpu_.timing_.wram_access_instrs * divCeil(bytes, 8);
+        const u64 instrs = kWramAccessInstrs * divCeil(bytes, 8);
         ++dpu_.stats_.wram_accesses;
         compute(instrs);
     } else {
@@ -162,8 +161,7 @@ void
 DpuContext::touchWrite(Tier tier, size_t bytes)
 {
     if (tier == Tier::Wram) {
-        const u64 instrs =
-            dpu_.timing_.wram_access_instrs * divCeil(bytes, 8);
+        const u64 instrs = kWramAccessInstrs * divCeil(bytes, 8);
         ++dpu_.stats_.wram_accesses;
         compute(instrs);
     } else {
@@ -182,8 +180,7 @@ DpuContext::touchRandom(Tier tier, u64 count, size_t bytes_each,
         return;
     if (tier == Tier::Wram) {
         dpu_.stats_.wram_accesses += count;
-        compute(count * dpu_.timing_.wram_access_instrs *
-                divCeil(bytes_each, 8));
+        compute(count * kWramAccessInstrs * divCeil(bytes_each, 8));
         return;
     }
     const Cycles done =
@@ -211,7 +208,7 @@ DpuContext::acquire(u32 key)
     }
     const unsigned bit = dpu_.atomic_reg_.bitFor(key);
     for (;;) {
-        compute(dpu_.timing_.atomic_op_instrs);
+        compute(kAtomicOpInstrs);
         if (dpu_.atomic_reg_.tryAcquire(bit, id_)) {
             ++dpu_.stats_.atomic_acquires;
             return;
@@ -221,23 +218,11 @@ DpuContext::acquire(u32 key)
     }
 }
 
-bool
-DpuContext::tryAcquire(u32 key)
-{
-    const unsigned bit = dpu_.atomic_reg_.bitFor(key);
-    compute(dpu_.timing_.atomic_op_instrs);
-    if (dpu_.atomic_reg_.tryAcquire(bit, id_)) {
-        ++dpu_.stats_.atomic_acquires;
-        return true;
-    }
-    return false;
-}
-
 void
 DpuContext::release(u32 key)
 {
     const unsigned bit = dpu_.atomic_reg_.bitFor(key);
-    compute(dpu_.timing_.atomic_op_instrs);
+    compute(kAtomicOpInstrs);
     dpu_.atomic_reg_.release(bit, id_);
     dpu_.wakeAtomicWaiters(bit);
 }
@@ -250,8 +235,7 @@ DpuContext::flushFence()
     // beat per line. Charged like any other MRAM engine occupancy so
     // concurrent tasklets feel it through mram_engine_free_.
     const u64 lines = dpu_.mram_.pendingPersistLines();
-    const Cycles busy = dpu_.timing_.mram_fence_base_cycles +
-                        lines * dpu_.timing_.mram_cycles_per_beat;
+    const Cycles busy = kMramFenceBaseCycles + lines * kMramCyclesPerBeat;
     const Cycles start = std::max(dpu_.now_, dpu_.mram_engine_free_);
     dpu_.mram_engine_free_ = start + busy;
     const Cycles done = start + busy;
@@ -303,38 +287,36 @@ resolveAlwaysSwitch(const DpuConfig &cfg)
 
 } // namespace
 
-Dpu::Dpu(const DpuConfig &cfg, const TimingConfig &timing)
-    : cfg_(cfg), timing_(timing),
-      wram_(Tier::Wram, cfg.wram_bytes),
+Dpu::Dpu(const DpuConfig &cfg)
+    : cfg_(cfg), wram_(Tier::Wram, kWramBytes),
       mram_(Tier::Mram, cfg.mram_bytes),
       atomic_reg_(cfg.atomic_bits)
 {
     always_switch_ = resolveAlwaysSwitch(cfg);
-    ready_heap_.reserve(cfg.max_tasklets);
+    ready_heap_.reserve(kMaxTasklets);
     if (!cfg.faults.empty())
         fault_injector_ =
-            std::make_unique<FaultInjector>(cfg.faults, cfg.max_tasklets);
+            std::make_unique<FaultInjector>(cfg.faults, kMaxTasklets);
     watchdog_cycles_ = cfg.watchdog_cycles;
 }
 
 void
-Dpu::recycle(const DpuConfig &cfg, const TimingConfig &timing)
+Dpu::recycle(const DpuConfig &cfg)
 {
     fatalIf(in_run_, "Dpu::recycle during run");
     cfg_ = cfg;
-    timing_ = timing;
-    wram_.recycle(cfg.wram_bytes);
+    wram_.recycle(kWramBytes);
     mram_.recycle(cfg.mram_bytes);
     atomic_reg_.recycle(cfg.atomic_bits);
     trace_sink_ = nullptr; // borrowed; the previous owner is gone
     epoch_period_ = 0;     // the epoch hook is borrowed state too
     epoch_hook_ = nullptr;
     always_switch_ = resolveAlwaysSwitch(cfg);
-    ready_heap_.reserve(cfg.max_tasklets);
+    ready_heap_.reserve(kMaxTasklets);
     fault_injector_.reset();
     if (!cfg.faults.empty())
         fault_injector_ =
-            std::make_unique<FaultInjector>(cfg.faults, cfg.max_tasklets);
+            std::make_unique<FaultInjector>(cfg.faults, kMaxTasklets);
     watchdog_cycles_ = cfg.watchdog_cycles;
     resetRun();
 }
@@ -345,8 +327,8 @@ unsigned
 Dpu::addTasklet(TaskletBody body)
 {
     fatalIf(in_run_, "addTasklet during run");
-    fatalIf(tasklets_.size() >= cfg_.max_tasklets,
-            "DPU supports at most ", cfg_.max_tasklets, " tasklets");
+    fatalIf(tasklets_.size() >= kMaxTasklets,
+            "DPU supports at most ", kMaxTasklets, " tasklets");
     const unsigned tid = static_cast<unsigned>(tasklets_.size());
     if (tid == fibers_.size())
         fibers_.push_back(std::make_unique<Fiber>());
@@ -451,7 +433,7 @@ Cycles
 Dpu::instrCost(u64 instrs) const
 {
     const unsigned interval =
-        std::max<unsigned>(timing_.reissue_interval, runnable_count_);
+        std::max<unsigned>(kReissueInterval, runnable_count_);
     return instrs * interval;
 }
 
@@ -602,19 +584,17 @@ Cycles
 Dpu::mramAccess(unsigned tid, size_t bytes, bool is_write)
 {
     (void)tid;
-    const u64 beats = divCeil(std::max<size_t>(bytes, 1),
-                              timing_.mram_beat_bytes);
+    const u64 beats = divCeil(std::max<size_t>(bytes, 1), kMramBeatBytes);
     const u64 transfers = divCeil(std::max<size_t>(bytes, 1),
-                                  timing_.mram_max_transfer_bytes);
-    const Cycles busy = transfers * timing_.mram_engine_setup_cycles +
-                        beats * timing_.mram_cycles_per_beat;
+                                  kMramMaxTransferBytes);
+    const Cycles busy = transfers * kMramEngineSetupCycles +
+                        beats * kMramCyclesPerBeat;
     // The issuing tasklet first runs the SDK access routine.
-    const Cycles issue =
-        instrCost(transfers * timing_.mram_access_instrs);
-    stats_.instructions += transfers * timing_.mram_access_instrs;
+    const Cycles issue = instrCost(transfers * kMramAccessInstrs);
+    stats_.instructions += transfers * kMramAccessInstrs;
     const Cycles start = std::max(now_ + issue, mram_engine_free_);
     mram_engine_free_ = start + busy;
-    const Cycles done = start + timing_.mram_latency_cycles + busy;
+    const Cycles done = start + kMramLatencyCycles + busy;
 
     if (is_write) {
         ++stats_.mram_writes;
@@ -631,19 +611,15 @@ Dpu::mramRandomAccess(unsigned tid, u64 count, size_t bytes_each,
                       bool is_write)
 {
     (void)tid;
-    const u64 beats = divCeil(std::max<size_t>(bytes_each, 1),
-                              timing_.mram_beat_bytes);
-    const Cycles per_busy =
-        timing_.mram_engine_setup_cycles +
-        timing_.mram_random_extra_cycles +
-        beats * timing_.mram_cycles_per_beat;
+    const u64 beats = divCeil(std::max<size_t>(bytes_each, 1), kMramBeatBytes);
+    const Cycles per_busy = kMramEngineSetupCycles + kMramRandomExtraCycles +
+                            beats * kMramCyclesPerBeat;
     // Each access is dependent (pointer-chasing): the issuing tasklet
     // pays the SDK routine plus full latency per access; the engine is
     // reserved for the aggregate bandwidth.
-    stats_.instructions += count * timing_.mram_access_instrs;
-    const Cycles per_serial = timing_.mram_latency_cycles + per_busy +
-                              instrCost(timing_.mram_access_instrs) +
-                              timing_.reissue_interval;
+    stats_.instructions += count * kMramAccessInstrs;
+    const Cycles per_serial = kMramLatencyCycles + per_busy +
+                              instrCost(kMramAccessInstrs) + kReissueInterval;
     const Cycles start = std::max(now_, mram_engine_free_);
     mram_engine_free_ = start + count * per_busy;
     const Cycles done =

@@ -8,9 +8,10 @@
  * ---------------
  * Tasklet code is ordinary C++ running on a fiber. Every operation with
  * a simulated cost goes through the DpuContext handed to the tasklet
- * body; the context computes the cost under the TimingConfig, advances
- * the tasklet's local clock and gives up the DPU, which always goes to
- * the globally-earliest runnable tasklet (ties broken by id).
+ * body; the context computes the cost under the constants of
+ * sim/config.hh, advances the tasklet's local clock and gives up the
+ * DPU, which always goes to the globally-earliest runnable tasklet
+ * (ties broken by id).
  * Interleaving is thus decided purely by simulated time —
  * deterministic, yet fine-grained enough (a scheduling point on every
  * memory access and atomic op) that real STM conflicts, aborts and lock
@@ -214,14 +215,13 @@ class DpuContext
 
     /** @{ Atomic register operations. acquire() blocks until granted. */
     void acquire(u32 key);
-    bool tryAcquire(u32 key);
     void release(u32 key);
     /** @} */
 
     /**
      * MRAM flush fence (docs/durability.md): wait for the DMA engine
      * to drain, push every unflushed line to the persist boundary, and
-     * charge mram_fence_base_cycles plus one beat per line. Only the
+     * charge kMramFenceBaseCycles plus one beat per line. Only the
      * durable commit protocol issues fences; a run that never fences
      * is bitwise identical to one built without the persist model.
      */
@@ -269,7 +269,7 @@ class DpuContext
 class Dpu
 {
   public:
-    Dpu(const DpuConfig &cfg, const TimingConfig &timing);
+    explicit Dpu(const DpuConfig &cfg);
     ~Dpu();
 
     Dpu(const Dpu &) = delete;
@@ -311,14 +311,14 @@ class Dpu
 
     /**
      * Return this DPU to the state of a freshly constructed
-     * Dpu(cfg, timing): tasklets and statistics cleared, memory tiers
+     * Dpu(cfg): tasklets and statistics cleared, memory tiers
      * re-zeroed (only their materialized extents — the point of
      * pooling), atomic register freed, configuration adopted. A
      * recycled DPU produces bitwise-identical simulations to a fresh
      * one; runtime::DpuPool uses this to recycle instances across
      * sweep points instead of reconstructing 64 MB tiers.
      */
-    void recycle(const DpuConfig &cfg, const TimingConfig &timing);
+    void recycle(const DpuConfig &cfg);
 
     /** @{ Components. */
     Memory &wram() { return wram_; }
@@ -326,7 +326,6 @@ class Dpu
     Memory &memory(Tier t) { return t == Tier::Wram ? wram_ : mram_; }
     AtomicRegister &atomics() { return atomic_reg_; }
     const DpuConfig &config() const { return cfg_; }
-    const TimingConfig &timing() const { return timing_; }
     /** @} */
 
     /** Statistics of the current / most recent run. */
@@ -367,7 +366,6 @@ class Dpu
      * resetRun(reset_faults=false).
      */
     void beginCrash() { crash_pending_ = true; }
-    bool crashPending() const { return crash_pending_; }
     /** @} */
 
     /**
@@ -378,7 +376,6 @@ class Dpu
      * alive) for the Dpu's remaining lifetime; recycle() clears it.
      */
     void setTraceSink(SchedTraceSink *sink) { trace_sink_ = sink; }
-    SchedTraceSink *traceSink() const { return trace_sink_; }
     /** @} */
 
     /** A tasklet body that terminated abnormally during run(). */
@@ -418,7 +415,6 @@ class Dpu
      * relative to the current cycle.
      */
     void setEpochHook(Cycles period, std::function<void()> hook);
-    Cycles epochPeriod() const { return epoch_period_; }
     /** @} */
 
     /**
@@ -542,7 +538,6 @@ class Dpu
     void scheduleLoop();
 
     DpuConfig cfg_;
-    TimingConfig timing_;
     Memory wram_;
     Memory mram_;
     AtomicRegister atomic_reg_;

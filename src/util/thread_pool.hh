@@ -2,7 +2,7 @@
  * @file
  * Deterministic host-side parallel executor.
  *
- * The simulator's outer loops — DPUs within a PimSystem, seed replicas
+ * The simulator's outer loops — the shard DPUs of one round, seed replicas
  * within a sweep point, sweep points within a figure harness — are
  * embarrassingly parallel: each unit of work is a self-contained
  * simulation (own Memory, fibers, AtomicRegister, RNG) whose result
@@ -88,8 +88,9 @@ class ThreadPool
     static unsigned defaultJobs();
 
     /**
-     * The process-wide pool shared by PimSystem, the workload driver
-     * and the bench harnesses. Created on first use with defaultJobs().
+     * The process-wide pool shared by the multi-DPU hosts, the
+     * workload driver and the bench harnesses. Created on first use
+     * with defaultJobs().
      */
     static ThreadPool &global();
 

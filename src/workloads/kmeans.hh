@@ -154,8 +154,7 @@ class KMeans : public runtime::Workload
                         dist += (cv - pv) * (cv - pv);
                     }
                     // Software floating point: sub/mul/add per dim.
-                    ctx.compute(3ull * n *
-                                ctx.dpu().timing().float_op_instrs);
+                    ctx.compute(3ull * n * sim::kFloatOpInstrs);
                     if (c == 0 || dist < best_dist) {
                         best_dist = dist;
                         best = c;
@@ -168,7 +167,7 @@ class KMeans : public runtime::Workload
                         const float s =
                             tx.readFloat(sums_.at(best * n + d));
                         // One software-emulated float add.
-                        ctx.compute(ctx.dpu().timing().float_op_instrs);
+                        ctx.compute(sim::kFloatOpInstrs);
                         tx.writeFloat(
                             sums_.at(best * n + d),
                             s + points_[static_cast<size_t>(p) * n + d]);
@@ -235,7 +234,7 @@ class KMeans : public runtime::Workload
             }
             ctx.write32(counts_.at(c), 0);
             // Division per dimension, software floating point.
-            ctx.compute(2ull * n * ctx.dpu().timing().float_op_instrs);
+            ctx.compute(2ull * n * sim::kFloatOpInstrs);
         }
         (void)round;
         final_count_total_ += round_total;

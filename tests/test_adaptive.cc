@@ -16,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/adaptive.hh"
 #include "runtime/driver.hh"
 #include "sim/fault.hh"

@@ -65,7 +65,7 @@ algo(Stm &stm)
 
 TEST(NOrecTest, SeqlockAdvancesByTwoPerUpdateCommit)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::NOrec, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
 
@@ -82,7 +82,7 @@ TEST(NOrecTest, SeqlockAdvancesByTwoPerUpdateCommit)
 
 TEST(NOrecTest, ReadOnlyCommitDoesNotTouchSeqlock)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::NOrec, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
 
@@ -102,7 +102,7 @@ TEST(NOrecTest, ConflictingWriterTriggersValueValidation)
 {
     // Two tasklets increment the same word; the loser of the commit
     // race must revalidate and, with changed values, abort.
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::NOrec, 2));
     SharedArray32 arr(dpu, Tier::Mram, 1);
     arr.fill(dpu, 0);
@@ -125,7 +125,7 @@ TEST(NOrecTest, SilentStoreSurvivesValidation)
     // Value-based validation: a concurrent commit that writes the SAME
     // value back must NOT abort the reader (the classic NOrec
     // advantage over version-based validation).
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::NOrec, 2));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.fill(dpu, 7);
@@ -157,7 +157,7 @@ TEST(NOrecTest, SilentStoreSurvivesValidation)
 
 TEST(TinyTest, ClockAdvancesPerUpdateCommit)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::TinyEtlWb, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
 
@@ -177,7 +177,7 @@ TEST(TinyTest, ClockAdvancesPerUpdateCommit)
 
 TEST(TinyTest, CommittedOrecCarriesCommitTimestamp)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::TinyEtlWb, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
 
@@ -202,7 +202,7 @@ TEST(TinyTest, AbortLeavesVersionUntouched)
 {
     // An aborting writer must release its ORec with the OLD version so
     // concurrent readers stay consistent.
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::TinyEtlWt, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.fill(dpu, 5);
@@ -227,7 +227,7 @@ TEST(TinyTest, AbortLeavesVersionUntouched)
 
 TEST(TinyTest, WriteThroughUndoRestoresExactBytes)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::TinyEtlWt, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.poke(dpu, 0, 0xdeadbeef);
@@ -258,7 +258,7 @@ TEST(TinyTest, SnapshotExtensionSparesAborts)
     // A reader that sees a version newer than its snapshot extends
     // (validating its read set) instead of aborting, when its reads
     // are untouched — Tiny's core advantage over TL2.
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::TinyEtlWb, 2));
     SharedArray32 arr(dpu, Tier::Mram, 16);
     arr.fill(dpu, 0);
@@ -292,7 +292,7 @@ TEST(TinyTest, CtlDefersLocksUntilCommit)
 {
     // With CTL, a second tasklet can read a location another tx has
     // pending-written, because no lock is taken until commit.
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::TinyCtlWb, 2));
     SharedArray32 arr(dpu, Tier::Mram, 8);
     arr.fill(dpu, 3);
@@ -325,7 +325,7 @@ TEST(TinyTest, CtlDefersLocksUntilCommit)
 
 TEST(VrTest, LockTableEndsFree)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::VrEtlWb, 4));
     SharedArray32 arr(dpu, Tier::Mram, 32);
     arr.fill(dpu, 0);
@@ -348,7 +348,7 @@ TEST(VrTest, UpgradeConflictAbortsAndIsAttributed)
     // Two tasklets read the same word then try to write it: at least
     // one upgrade must fail with UpgradeConflict (the paper's VR
     // spurious-abort mechanism).
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::VrEtlWb, 2));
     SharedArray32 arr(dpu, Tier::Mram, 1);
     arr.fill(dpu, 0);
@@ -371,7 +371,7 @@ TEST(VrTest, UpgradeConflictAbortsAndIsAttributed)
 
 TEST(VrTest, ReadersDoNotConflictWithReaders)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::VrEtlWb, 8));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.fill(dpu, 9);
@@ -393,7 +393,7 @@ TEST(VrTest, WriterBlocksReadersUntilCommit)
 {
     // ETL: while a writer holds a write lock, a reader of the same
     // word aborts with ReadConflict (visible conflict, no validation).
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::VrEtlWt, 2));
     SharedArray32 arr(dpu, Tier::Mram, 1);
     arr.fill(dpu, 0);
@@ -416,7 +416,7 @@ TEST(VrTest, WriterBlocksReadersUntilCommit)
 
 TEST(VrTest, CtlUpgradesAtCommit)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Stm stm(dpu, cfgFor(StmKind::VrCtlWb, 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.fill(dpu, 10);
@@ -439,7 +439,7 @@ TEST(VrTest, CtlUpgradesAtCommit)
 
 TEST(AlgorithmNames, MatchKinds)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     {
         Stm stm(dpu, cfgFor(StmKind::TinyEtlWb, 1));
         const TinyAlgorithm &s = algo<TinyAlgorithm>(stm);
@@ -449,14 +449,14 @@ TEST(AlgorithmNames, MatchKinds)
     }
     dpu.resetRun();
     {
-        Dpu d2(smallDpu(), TimingConfig{});
+        Dpu d2(smallDpu());
         Stm stm(d2, cfgFor(StmKind::TinyCtlWb, 1));
         const TinyAlgorithm &s = algo<TinyAlgorithm>(stm);
         EXPECT_STREQ(s.name(), "Tiny CTLWB");
         EXPECT_FALSE(s.encounterTimeLocking());
     }
     {
-        Dpu d3(smallDpu(), TimingConfig{});
+        Dpu d3(smallDpu());
         Stm stm(d3, cfgFor(StmKind::VrEtlWt, 1));
         const VrAlgorithm &s = algo<VrAlgorithm>(stm);
         EXPECT_STREQ(s.name(), "VR ETLWT");

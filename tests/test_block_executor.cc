@@ -164,10 +164,10 @@ TEST(BlockExecutorTest, Tl2ExtensionKindWorksEverywhereTooSmoke)
     // suite; this smoke test pins its identity.
     sim::DpuConfig dc;
     dc.mram_bytes = 1 * 1024 * 1024;
-    sim::Dpu dpu(dc, sim::TimingConfig{});
+    sim::Dpu dpu(dc);
     StmConfig sc;
     sc.kind = StmKind::Tl2;
     sc.num_tasklets = 1;
-    auto stm = makeStm(dpu, sc);
+    auto stm = std::make_unique<Stm>(dpu, sc);
     EXPECT_STREQ(stm->name(), "TL2");
 }

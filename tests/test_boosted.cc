@@ -16,7 +16,7 @@
 #include <set>
 #include <vector>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/boosted.hh"
 #include "runtime/driver.hh"
 #include "runtime/tx_hashmap.hh"
@@ -50,7 +50,7 @@ makeBoostedStm(Dpu &dpu, StmKind kind, unsigned tasklets)
     cfg.max_read_set = 128;
     cfg.max_write_set = 32;
     cfg.boosting = true;
-    return makeStm(dpu, cfg);
+    return std::make_unique<Stm>(dpu, cfg);
 }
 
 std::string
@@ -96,11 +96,11 @@ TEST(BoostedPlan, LatchKeysDistinctAcrossStructuresAndInstances)
 
 TEST(BoostedPlan, ManagerStartsQuiescentAndValidatesStripes)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     StmConfig cfg;
     cfg.num_tasklets = 1;
     cfg.boosting = true;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
     AbstractLockManager locks(dpu, *stm, StructureId::Map, 64);
     EXPECT_TRUE(locks.quiescent());
     EXPECT_EQ(locks.numStripes(), 64u);
@@ -110,11 +110,11 @@ TEST(BoostedPlan, ManagerStartsQuiescentAndValidatesStripes)
 
 TEST(BoostedPlan, NonPowerOfTwoStripesRejected)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     StmConfig cfg;
     cfg.num_tasklets = 1;
     cfg.boosting = true;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
     EXPECT_THROW(AbstractLockManager(dpu, *stm, StructureId::Map, 48),
                  FatalError);
 }
@@ -129,7 +129,7 @@ class BoostedLockAll : public testing::TestWithParam<StmKind>
 
 TEST_P(BoostedLockAll, SharedHoldersCommuteExclusiveWaits)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     auto stm = makeBoostedStm(dpu, GetParam(), 4);
     AbstractLockManager locks(dpu, *stm, StructureId::Map, 64);
 
@@ -153,7 +153,7 @@ TEST_P(BoostedLockAll, SharedHoldersCommuteExclusiveWaits)
 
 TEST_P(BoostedLockAll, UpgradeSharedToExclusiveInPlace)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     auto stm = makeBoostedStm(dpu, GetParam(), 1);
     AbstractLockManager locks(dpu, *stm, StructureId::Map, 64);
     dpu.addTasklet([&](DpuContext &ctx) {
@@ -190,14 +190,14 @@ class BoostedMapAll : public testing::TestWithParam<StmKind>
         DpuConfig dc = smallDpu();
         dc.faults = faults;
         dc.seed = 99;
-        Dpu dpu(dc, TimingConfig{});
+        Dpu dpu(dc);
         StmConfig cfg;
         cfg.kind = GetParam();
         cfg.num_tasklets = 4;
         cfg.max_read_set = 160;
         cfg.max_write_set = 32;
         cfg.boosting = boosted;
-        auto stm = makeStm(dpu, cfg);
+        auto stm = std::make_unique<Stm>(dpu, cfg);
         TxHashMap map(dpu, Tier::Mram, 256);
         std::unique_ptr<BoostedMap> bmap;
         if (boosted)
@@ -291,7 +291,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, BoostedMapAll,
 
 TEST(BoostedSetTest, AddContainsRemoveSemantics)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     auto stm = makeBoostedStm(dpu, StmKind::NOrec, 1);
     TxHashMap map(dpu, Tier::Mram, 64);
     BoostedSet set(dpu, *stm, map);
@@ -315,11 +315,11 @@ TEST(BoostedSetTest, AddContainsRemoveSemantics)
 
 TEST(TxHashMapSize, ShardedCountersTrackSizeTransactionally)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     StmConfig cfg;
     cfg.num_tasklets = 5; // 4 workers + the later size-reading tasklet
     cfg.max_read_set = 128;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
     TxHashMap map(dpu, Tier::Mram, 256);
     map.enableSizeCounters(dpu, Tier::Mram, 4);
 
@@ -349,7 +349,7 @@ TEST(TxHashMapSize, ShardedCountersTrackSizeTransactionally)
 
 TEST(TxHashMapSize, BoostedSizeSumsShardsUnderFullSharedLock)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     // 2 workers + the later size-reading tasklet.
     auto stm = makeBoostedStm(dpu, StmKind::TinyEtlWb, 3);
     TxHashMap map(dpu, Tier::Mram, 128);
@@ -378,7 +378,7 @@ TEST(TxHashMapSize, BoostedSizeSumsShardsUnderFullSharedLock)
 
 TEST(TxHashMapSize, EnableTwiceOrNonEmptyPanics)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     TxHashMap map(dpu, Tier::Mram, 64);
     map.enableSizeCounters(dpu, Tier::Mram, 2);
     EXPECT_THROW(map.enableSizeCounters(dpu, Tier::Mram, 2),
@@ -387,7 +387,7 @@ TEST(TxHashMapSize, EnableTwiceOrNonEmptyPanics)
     TxHashMap map2(dpu, Tier::Mram, 64);
     StmConfig cfg;
     cfg.num_tasklets = 1;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
     dpu.addTasklet([&](DpuContext &ctx) {
         atomically(*stm, ctx,
                    [&](TxHandle &tx) { map2.insert(tx, 1, 1); });
@@ -407,7 +407,7 @@ class BoostedQueueAll : public testing::TestWithParam<StmKind>
 
 TEST_P(BoostedQueueAll, ConservationAndFifoPerProducer)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     auto stm = makeBoostedStm(dpu, GetParam(), 4);
     BoostedQueue q(dpu, *stm, Tier::Mram, 1024);
 
@@ -467,7 +467,7 @@ TEST_P(BoostedQueueAll, UndoRetreatsPointersUnderInjectedAborts)
     DpuConfig dc = smallDpu();
     dc.faults = FaultPlan::parse("seed=11;abort=250");
     dc.seed = 7;
-    Dpu dpu(dc, TimingConfig{});
+    Dpu dpu(dc);
     auto stm = makeBoostedStm(dpu, GetParam(), 2);
     BoostedQueue q(dpu, *stm, Tier::Mram, 256);
 

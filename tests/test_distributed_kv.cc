@@ -10,7 +10,7 @@
 
 #include <map>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "hostapp/distributed_kv.hh"
 #include "runtime/tx_hashmap.hh"
 
@@ -42,11 +42,11 @@ TEST(TxHashMapTest, InsertLookupEraseRoundTrip)
 {
     sim::DpuConfig dc;
     dc.mram_bytes = 1 * 1024 * 1024;
-    sim::Dpu dpu(dc, sim::TimingConfig{});
+    sim::Dpu dpu(dc);
     core::StmConfig sc;
     sc.num_tasklets = 1;
     sc.max_read_set = 600;
-    auto stm = core::makeStm(dpu, sc);
+    auto stm = std::make_unique<core::Stm>(dpu, sc);
     TxHashMap map(dpu, sim::Tier::Mram, 64);
 
     dpu.addTasklet([&](sim::DpuContext &ctx) {
@@ -70,10 +70,10 @@ TEST(TxHashMapTest, UpdateOverwrites)
 {
     sim::DpuConfig dc;
     dc.mram_bytes = 1 * 1024 * 1024;
-    sim::Dpu dpu(dc, sim::TimingConfig{});
+    sim::Dpu dpu(dc);
     core::StmConfig sc;
     sc.num_tasklets = 1;
-    auto stm = core::makeStm(dpu, sc);
+    auto stm = std::make_unique<core::Stm>(dpu, sc);
     TxHashMap map(dpu, sim::Tier::Mram, 64);
 
     dpu.addTasklet([&](sim::DpuContext &ctx) {
@@ -93,12 +93,12 @@ TEST(TxHashMapTest, TombstonesAreReusedAndChainsSurvive)
 {
     sim::DpuConfig dc;
     dc.mram_bytes = 1 * 1024 * 1024;
-    sim::Dpu dpu(dc, sim::TimingConfig{});
+    sim::Dpu dpu(dc);
     core::StmConfig sc;
     sc.num_tasklets = 1;
     sc.max_read_set = 600;
     sc.max_write_set = 64;
-    auto stm = core::makeStm(dpu, sc);
+    auto stm = std::make_unique<core::Stm>(dpu, sc);
     // Tiny capacity forces long probe chains and collisions.
     TxHashMap map(dpu, sim::Tier::Mram, 16);
 
@@ -131,12 +131,12 @@ TEST(TxHashMapTest, FullTableRejectsNewKeys)
 {
     sim::DpuConfig dc;
     dc.mram_bytes = 1 * 1024 * 1024;
-    sim::Dpu dpu(dc, sim::TimingConfig{});
+    sim::Dpu dpu(dc);
     core::StmConfig sc;
     sc.num_tasklets = 1;
     sc.max_read_set = 64;
     sc.max_write_set = 32;
-    auto stm = core::makeStm(dpu, sc);
+    auto stm = std::make_unique<core::Stm>(dpu, sc);
     TxHashMap map(dpu, sim::Tier::Mram, 8);
 
     bool ninth = true;

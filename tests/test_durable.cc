@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "hostapp/distributed_kv.hh"
 #include "runtime/driver.hh"
 #include "runtime/shared_array.hh"
@@ -70,7 +70,7 @@ runTransfersWithRecovery(StmKind kind, const FaultPlan &plan,
     dpu_cfg.mram_bytes = 1 * 1024 * 1024;
     dpu_cfg.seed = 2027;
     dpu_cfg.faults = plan;
-    Dpu dpu(dpu_cfg, TimingConfig{});
+    Dpu dpu(dpu_cfg);
 
     StmConfig cfg;
     cfg.kind = kind;
@@ -79,7 +79,7 @@ runTransfersWithRecovery(StmKind kind, const FaultPlan &plan,
     cfg.max_write_set = 8;
     cfg.data_words_hint = kAccounts;
     cfg.durable = true;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
 
     SharedArray32 accounts(dpu, Tier::Mram, kAccounts);
     accounts.fill(dpu, kInitial);
@@ -207,7 +207,7 @@ TEST_P(Durable, RecoveryIsIdempotent)
     dpu_cfg.mram_bytes = 1 * 1024 * 1024;
     dpu_cfg.seed = 11;
     dpu_cfg.faults = FaultPlan::parse("dpu-crash=30");
-    Dpu dpu(dpu_cfg, TimingConfig{});
+    Dpu dpu(dpu_cfg);
 
     StmConfig cfg;
     cfg.kind = GetParam();
@@ -216,7 +216,7 @@ TEST_P(Durable, RecoveryIsIdempotent)
     cfg.max_write_set = 8;
     cfg.data_words_hint = kAccounts;
     cfg.durable = true;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
 
     SharedArray32 accounts(dpu, Tier::Mram, kAccounts);
     accounts.fill(dpu, kInitial);
@@ -298,7 +298,7 @@ TEST(DurableRedoLog, ConcurrentCommitsKeepTheirOwnRedoImages)
         SCOPED_TRACE("small-tx start delay " + std::to_string(delay));
         DpuConfig dpu_cfg;
         dpu_cfg.mram_bytes = 1 << 20;
-        Dpu dpu(dpu_cfg, TimingConfig{});
+        Dpu dpu(dpu_cfg);
         StmConfig cfg;
         cfg.kind = StmKind::VrCtlWb;
         cfg.num_tasklets = 3;
@@ -306,7 +306,7 @@ TEST(DurableRedoLog, ConcurrentCommitsKeepTheirOwnRedoImages)
         cfg.max_write_set = 8;
         cfg.data_words_hint = 64;
         cfg.durable = true;
-        auto stm = makeStm(dpu, cfg);
+        auto stm = std::make_unique<Stm>(dpu, cfg);
         SharedArray32 words(dpu, Tier::Mram, 64);
         words.fill(dpu, 0);
         dpu.mram().fence();
@@ -353,7 +353,7 @@ TEST(DurableConfig, ExclusionsAreRefused)
 {
     DpuConfig dpu_cfg;
     dpu_cfg.mram_bytes = 1 << 20;
-    Dpu dpu(dpu_cfg, TimingConfig{});
+    Dpu dpu(dpu_cfg);
 
     StmConfig base;
     base.kind = StmKind::NOrec;
@@ -364,17 +364,17 @@ TEST(DurableConfig, ExclusionsAreRefused)
     {
         StmConfig cfg = base;
         cfg.serial_fallback_after = 4;
-        EXPECT_THROW(makeStm(dpu, cfg), FatalError);
+        EXPECT_THROW(Stm(dpu, cfg), FatalError);
     }
     {
         StmConfig cfg = base;
         cfg.boosting = true;
-        EXPECT_THROW(makeStm(dpu, cfg), FatalError);
+        EXPECT_THROW(Stm(dpu, cfg), FatalError);
     }
     {
         // Two candidates: a live kind switch would change the log
         // format recovery has to read.
-        EXPECT_THROW(makeStm(dpu, base, {StmKind::TinyEtlWb}), FatalError);
+        EXPECT_THROW(Stm(dpu, base, {StmKind::TinyEtlWb}), FatalError);
     }
     {
         // Driver-level: the adaptive controller re-plans layout and can

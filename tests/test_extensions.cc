@@ -9,7 +9,7 @@
 
 #include <sstream>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/adaptive.hh"
 #include "runtime/shared_array.hh"
 #include "workloads/arraybench.hh"
@@ -211,12 +211,12 @@ TEST(TraceTest, RecordsOrderedEventsWithCounts)
 {
     sim::DpuConfig dc;
     dc.mram_bytes = 1 * 1024 * 1024;
-    sim::Dpu dpu(dc, sim::TimingConfig{});
+    sim::Dpu dpu(dc);
     TraceBuffer trace(1024);
     StmConfig cfg;
     cfg.num_tasklets = 3;
     cfg.trace = &trace;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
     SharedArray32 arr(dpu, sim::Tier::Mram, 2);
     arr.fill(dpu, 0);
 

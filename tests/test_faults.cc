@@ -15,7 +15,7 @@
 
 #include <string>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/driver.hh"
 #include "runtime/shared_array.hh"
 #include "sim/fault.hh"
@@ -209,7 +209,7 @@ TEST_P(FaultInjectionPerKind, CrashMidTransactionReleasesAllOwnership)
     // pairs — the crash lands at the fourth write, with read and write
     // ownership (ETL / VR) or a populated write set (CTL) in flight.
     dpu_cfg.faults = FaultPlan::parse("crash=*@7");
-    Dpu dpu(dpu_cfg, TimingConfig{});
+    Dpu dpu(dpu_cfg);
 
     StmConfig cfg;
     cfg.kind = GetParam().kind;
@@ -217,7 +217,7 @@ TEST_P(FaultInjectionPerKind, CrashMidTransactionReleasesAllOwnership)
     cfg.max_read_set = 32;
     cfg.max_write_set = 16;
     cfg.data_words_hint = kCells;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
 
     SharedArray32 cells(dpu, Tier::Mram, kCells);
     cells.fill(dpu, 0);
@@ -280,7 +280,7 @@ TEST(Watchdog, DetectsConstructedDeadlock)
 {
     DpuConfig cfg;
     cfg.mram_bytes = 1 << 20;
-    Dpu dpu(cfg, TimingConfig{});
+    Dpu dpu(cfg);
     dpu.addTasklet([](DpuContext &ctx) {
         ctx.acquire(0);
         ctx.compute(100);
@@ -318,14 +318,14 @@ TEST(Watchdog, DetectsVrUpgradeLivelock)
     DpuConfig dpu_cfg;
     dpu_cfg.mram_bytes = 1 << 20;
     dpu_cfg.watchdog_cycles = 300'000;
-    Dpu dpu(dpu_cfg, TimingConfig{});
+    Dpu dpu(dpu_cfg);
 
     StmConfig cfg;
     cfg.kind = StmKind::VrEtlWb;
     cfg.num_tasklets = 2;
     cfg.abort_backoff = false;
     cfg.data_words_hint = 16;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
 
     SharedArray32 cells(dpu, Tier::Mram, 16);
     cells.fill(dpu, 0);

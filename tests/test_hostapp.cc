@@ -1,15 +1,15 @@
 /**
  * @file
  * Tests for the multi-DPU models and the energy model behind Figs. 7
- * and 8: monotonicity in the DPU count, decomposition sanity, PIM
- * system transfer-cost model, and the TDP-based energy arithmetic.
+ * and 8: monotonicity in the DPU count, decomposition sanity, the
+ * host-link transfer-cost model, and the TDP-based energy arithmetic.
  */
 
 #include <gtest/gtest.h>
 
 #include "hostapp/energy.hh"
 #include "hostapp/multi_dpu.hh"
-#include "sim/pim_system.hh"
+#include "sim/config.hh"
 
 using namespace pimstm;
 using namespace pimstm::hostapp;
@@ -83,89 +83,51 @@ TEST(MultiDpu, RejectsZeroDpus)
 
 TEST(EnergyModel, PimScalesWithDpuFraction)
 {
-    sim::EnergyConfig cfg;
-    const double full = pimEnergyJoules(cfg, 10.0, cfg.pim_system_dpus);
-    const double half =
-        pimEnergyJoules(cfg, 10.0, cfg.pim_system_dpus / 2);
-    EXPECT_NEAR(full, cfg.pim_system_tdp_w * 10.0, 1e-9);
+    const double full = pimEnergyJoules(10.0, sim::kUpmemSystemDpus);
+    const double half = pimEnergyJoules(10.0, sim::kUpmemSystemDpus / 2);
+    EXPECT_NEAR(full, sim::kUpmemSystemTdpW * 10.0, 1e-9);
     EXPECT_NEAR(half, full / 2, 1e-9);
     // More DPUs than the system has cannot exceed full TDP.
-    EXPECT_NEAR(pimEnergyJoules(cfg, 10.0, cfg.pim_system_dpus * 2),
-                full, 1e-9);
+    EXPECT_NEAR(pimEnergyJoules(10.0, sim::kUpmemSystemDpus * 2), full,
+                1e-9);
 }
 
 TEST(EnergyModel, CpuUsesPackagePlusDram)
 {
-    sim::EnergyConfig cfg;
-    EXPECT_NEAR(cpuEnergyJoules(cfg, 2.0),
-                (cfg.cpu_package_w + cfg.cpu_dram_w) * 2.0, 1e-9);
+    EXPECT_NEAR(cpuEnergyJoules(2.0),
+                (sim::kCpuPackageW + sim::kCpuDramW) * 2.0, 1e-9);
 }
 
 TEST(EnergyModel, GainMatchesPaperArithmetic)
 {
-    sim::EnergyConfig cfg;
     // Equal times at full scale: gain = P_cpu / P_pim.
-    const auto e = estimateEnergy(cfg, 1.0, cfg.pim_system_dpus, 1.0);
+    const auto e = estimateEnergy(1.0, sim::kUpmemSystemDpus, 1.0);
     EXPECT_NEAR(e.gain(),
-                (cfg.cpu_package_w + cfg.cpu_dram_w) /
-                    cfg.pim_system_tdp_w,
+                (sim::kCpuPackageW + sim::kCpuDramW) /
+                    sim::kUpmemSystemTdpW,
                 1e-9);
     // A PIM run 2x faster doubles the gain.
-    const auto e2 = estimateEnergy(cfg, 0.5, cfg.pim_system_dpus, 1.0);
+    const auto e2 = estimateEnergy(0.5, sim::kUpmemSystemDpus, 1.0);
     EXPECT_NEAR(e2.gain(), 2 * e.gain(), 1e-9);
 }
 
-TEST(PimSystem, LatencyConstantsMatchPaper)
+TEST(HostLink, LatencyConstantsMatchPaper)
 {
-    sim::PimSystem sys(16, 2, sim::DpuConfig{}, sim::TimingConfig{},
-                       sim::HostLinkConfig{});
-    EXPECT_NEAR(sys.interDpuWordReadSeconds() * 1e6, 331.0, 1e-9);
-    EXPECT_NEAR(sys.localMramWordReadSeconds() * 1e9, 231.0, 1e-9);
+    const double inter_s = sim::kInterDpuWordReadUs * 1e-6;
+    const double local_s = sim::kLocalMramWordReadNs * 1e-9;
+    EXPECT_NEAR(inter_s * 1e6, 331.0, 1e-9);
+    EXPECT_NEAR(local_s * 1e9, 231.0, 1e-9);
     // The headline three-orders-of-magnitude gap (§3.1).
-    const double ratio = sys.interDpuWordReadSeconds() /
-                         sys.localMramWordReadSeconds();
+    const double ratio = inter_s / local_s;
     EXPECT_GT(ratio, 1000.0);
     EXPECT_LT(ratio, 2000.0);
 }
 
-TEST(PimSystem, TransfersScaleWithDpusAndBytes)
+TEST(HostLink, TransfersScaleWithBytes)
 {
-    sim::PimSystem sys(1000, 1, sim::DpuConfig{}, sim::TimingConfig{},
-                       sim::HostLinkConfig{});
-    const double small = sys.hostToDpusSeconds(1024);
-    const double big = sys.hostToDpusSeconds(1024 * 1024);
+    const double small = sim::transferSeconds(1024.0 * 1000);
+    const double big = sim::transferSeconds(1024.0 * 1024 * 1000);
     EXPECT_GT(big, small);
-
-    sim::PimSystem sys2(2000, 1, sim::DpuConfig{}, sim::TimingConfig{},
-                        sim::HostLinkConfig{});
-    EXPECT_GT(sys2.hostToDpusSeconds(1024 * 1024), big);
-}
-
-TEST(PimSystem, SampleBoundsEnforced)
-{
-    EXPECT_THROW(sim::PimSystem(0, 1, sim::DpuConfig{},
-                                sim::TimingConfig{},
-                                sim::HostLinkConfig{}),
-                 FatalError);
-    EXPECT_THROW(sim::PimSystem(4, 5, sim::DpuConfig{},
-                                sim::TimingConfig{},
-                                sim::HostLinkConfig{}),
-                 FatalError);
-    sim::PimSystem ok(4, 4, sim::DpuConfig{}, sim::TimingConfig{},
-                      sim::HostLinkConfig{});
-    EXPECT_EQ(ok.simulatedDpus(), 4u);
-    EXPECT_THROW(ok.dpu(4), PanicError);
-}
-
-TEST(PimSystem, RunAllReturnsSlowestDpu)
-{
-    sim::DpuConfig cfg;
-    cfg.mram_bytes = 1 * 1024 * 1024;
-    sim::PimSystem sys(2, 2, cfg, sim::TimingConfig{},
-                       sim::HostLinkConfig{});
-    sys.dpu(0).addTasklet([](sim::DpuContext &ctx) { ctx.compute(100); });
-    sys.dpu(1).addTasklet([](sim::DpuContext &ctx) { ctx.compute(500); });
-    const double worst = sys.runAllSeconds();
-    EXPECT_NEAR(worst,
-                sim::TimingConfig{}.cyclesToSeconds(500 * 11), 1e-12);
+    // The same payload to twice the DPUs moves twice the bytes.
+    EXPECT_GT(sim::transferSeconds(1024.0 * 1024 * 2000), big);
 }

@@ -16,9 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "hostapp/distributed_kv.hh"
 #include "runtime/driver.hh"
 #include "sim/dpu.hh"
-#include "sim/pim_system.hh"
 #include "util/thread_pool.hh"
 #include "workloads/arraybench.hh"
 #include "workloads/linkedlist.hh"
@@ -205,8 +205,7 @@ runSmallDpu(u64 seed)
     sim::DpuConfig cfg;
     cfg.mram_bytes = 1 << 20;
     cfg.seed = seed;
-    sim::TimingConfig timing;
-    sim::Dpu dpu(cfg, timing);
+    sim::Dpu dpu(cfg);
     dpu.addTasklets(4, [](sim::DpuContext &ctx) {
         for (int i = 0; i < 40; ++i) {
             ctx.compute(5 + ctx.rng().below(10));
@@ -257,45 +256,44 @@ TEST(FiberThreading, ManyConcurrentDpusViaPool)
         expectEqualDpuStats(ref[i], got[i]);
 }
 
-TEST(PimSystem, RunAllSecondsMatchesSerialPerDpuStats)
+TEST(DistributedKvParallel, MixedBatchIdenticalOnOneAndFourThreads)
 {
-    auto build = [] {
-        sim::DpuConfig cfg;
+    // A fleet's shard DPUs run on separate host threads; a mixed batch
+    // of single-shard ops and cross-shard moves must leave identical
+    // DPU, STM and 2PC counters and modelled time on 1 and 4 threads.
+    auto run = [](unsigned jobs) {
+        util::ThreadPool::setGlobalJobs(jobs);
+        hostapp::DistributedKvConfig cfg;
+        cfg.shards = 8;
+        cfg.capacity_per_shard = 256;
+        cfg.tasklets_per_dpu = 4;
         cfg.mram_bytes = 1 << 20;
         cfg.seed = 7;
-        sim::TimingConfig timing;
-        sim::HostLinkConfig link;
-        auto sys = std::make_unique<sim::PimSystem>(64, 4, cfg, timing,
-                                                    link);
-        for (unsigned d = 0; d < 4; ++d) {
-            sys->dpu(d).addTasklets(3, [](sim::DpuContext &ctx) {
-                for (int i = 0; i < 30; ++i) {
-                    ctx.compute(8);
-                    ctx.acquire(3);
-                    const sim::Addr a = sim::makeAddr(
-                        sim::Tier::Wram,
-                        static_cast<u32>(4 * ctx.rng().below(16)));
-                    ctx.write32(a, ctx.read32(a) + 1);
-                    ctx.release(3);
-                }
-            });
+        auto kv = std::make_unique<hostapp::DistributedKv>(cfg);
+        std::vector<hostapp::KvOp> ops;
+        std::vector<hostapp::CrossShardTx> txs;
+        for (u32 k = 1; k <= 96; ++k)
+            ops.push_back(hostapp::KvOp::put(k, k * 3));
+        kv->execute(ops);
+        ops.clear();
+        for (u32 k = 1; k <= 48; ++k) {
+            ops.push_back(k % 3 == 0 ? hostapp::KvOp::erase(k)
+                                     : hostapp::KvOp::get(k));
+            txs.push_back(hostapp::CrossShardTx::move(48 + k, 200 + k));
         }
-        return sys;
+        kv->execute(ops, txs);
+        util::ThreadPool::setGlobalJobs(0);
+        return kv;
     };
+    const auto serial = run(1);
+    const auto parallel = run(4);
 
-    util::ThreadPool::setGlobalJobs(1);
-    auto serial = build();
-    const double serial_seconds = serial->runAllSeconds();
-
-    util::ThreadPool::setGlobalJobs(4);
-    auto parallel = build();
-    const double parallel_seconds = parallel->runAllSeconds();
-    util::ThreadPool::setGlobalJobs(0);
-
-    EXPECT_EQ(serial_seconds, parallel_seconds);
-    for (unsigned d = 0; d < 4; ++d)
-        expectEqualDpuStats(serial->dpu(d).stats(),
-                            parallel->dpu(d).stats());
+    expectEqualDpuStats(serial->dpuStats(), parallel->dpuStats());
+    expectEqualStmStats(serial->stmStats(), parallel->stmStats());
+    EXPECT_EQ(hostapp::twoPcStatsJson(serial->stats()),
+              hostapp::twoPcStatsJson(parallel->stats()));
+    EXPECT_EQ(serial->elapsedSeconds(), parallel->elapsedSeconds());
+    EXPECT_GT(serial->stats().tx_commits, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -11,7 +11,7 @@
 
 #include <type_traits>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/shared_array.hh"
 
 using namespace pimstm;
@@ -92,8 +92,8 @@ TEST_P(StmStress, ConservationUnderRandomTransfers)
     constexpr u32 kWords = 48;
     constexpr u32 kInitial = 500;
 
-    Dpu dpu(dpuCfg(GetParam().seed), TimingConfig{});
-    auto stm = makeStm(dpu, stmCfg());
+    Dpu dpu(dpuCfg(GetParam().seed));
+    auto stm = std::make_unique<Stm>(dpu, stmCfg());
     SharedArray32 arr(dpu, Tier::Mram, kWords);
     arr.fill(dpu, kInitial);
 
@@ -135,8 +135,8 @@ TEST_P(StmStress, SnapshotsAreAlwaysConsistent)
     // An array kept all-equal by writers; readers must never see two
     // differing cells inside one transaction.
     constexpr u32 kWords = 6;
-    Dpu dpu(dpuCfg(GetParam().seed), TimingConfig{});
-    auto stm = makeStm(dpu, stmCfg());
+    Dpu dpu(dpuCfg(GetParam().seed));
+    auto stm = std::make_unique<Stm>(dpu, stmCfg());
     SharedArray32 arr(dpu, Tier::Mram, kWords);
     arr.fill(dpu, 0);
 
@@ -166,8 +166,8 @@ TEST_P(StmStress, SnapshotsAreAlwaysConsistent)
 
 TEST_P(StmStress, MonotonicCounterNeverLosesTicks)
 {
-    Dpu dpu(dpuCfg(GetParam().seed), TimingConfig{});
-    auto stm = makeStm(dpu, stmCfg());
+    Dpu dpu(dpuCfg(GetParam().seed));
+    auto stm = std::make_unique<Stm>(dpu, stmCfg());
     SharedArray32 arr(dpu, Tier::Mram, 2);
     arr.fill(dpu, 0);
 
@@ -192,8 +192,8 @@ TEST_P(StmStress, DeterministicReplay)
     // Bit-identical behaviour on replay: same total cycles, same
     // commit/abort counters.
     auto run_once = [&] {
-        Dpu dpu(dpuCfg(GetParam().seed), TimingConfig{});
-        auto stm = makeStm(dpu, stmCfg());
+        Dpu dpu(dpuCfg(GetParam().seed));
+        auto stm = std::make_unique<Stm>(dpu, stmCfg());
         SharedArray32 arr(dpu, Tier::Mram, 16);
         arr.fill(dpu, 0);
         dpu.addTasklets(GetParam().tasklets, [&](DpuContext &ctx) {

@@ -11,7 +11,7 @@
 #include <sstream>
 
 #include "core/stats_report.hh"
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/shared_array.hh"
 #include "runtime/tx_queue.hh"
 #include "workloads/arraybench.hh"
@@ -38,7 +38,7 @@ smallDpu()
 
 TEST(SharedArrayTest, AddressesAreContiguousWords)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     SharedArray32 arr(dpu, Tier::Mram, 8);
     EXPECT_EQ(arr.size(), 8u);
     for (size_t i = 1; i < 8; ++i)
@@ -48,14 +48,14 @@ TEST(SharedArrayTest, AddressesAreContiguousWords)
 
 TEST(SharedArrayTest, WramTierTagged)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     SharedArray32 arr(dpu, Tier::Wram, 4);
     EXPECT_EQ(addrTier(arr.at(3)), Tier::Wram);
 }
 
 TEST(SharedArrayTest, PeekPokeFillRoundTrip)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.fill(dpu, 7);
     for (size_t i = 0; i < 4; ++i)
@@ -66,18 +66,18 @@ TEST(SharedArrayTest, PeekPokeFillRoundTrip)
 
 TEST(SharedArrayTest, OutOfRangePanics)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     SharedArray32 arr(dpu, Tier::Mram, 4);
     EXPECT_THROW(arr.at(4), PanicError);
 }
 
 TEST(TxQueueTest, EveryTicketDispensedExactlyOnce)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     core::StmConfig cfg;
     cfg.kind = core::StmKind::NOrec;
     cfg.num_tasklets = 6;
-    auto stm = core::makeStm(dpu, cfg);
+    auto stm = std::make_unique<core::Stm>(dpu, cfg);
     TxQueue queue(dpu, Tier::Mram, 50);
 
     std::vector<int> claimed(50, 0);
@@ -96,10 +96,10 @@ TEST(TxQueueTest, EveryTicketDispensedExactlyOnce)
 
 TEST(TxQueueTest, DrainedQueueReturnsMinusOne)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     core::StmConfig cfg;
     cfg.num_tasklets = 1;
-    auto stm = core::makeStm(dpu, cfg);
+    auto stm = std::make_unique<core::Stm>(dpu, cfg);
     TxQueue queue(dpu, Tier::Mram, 2);
 
     std::vector<s64> seen;
@@ -131,10 +131,10 @@ TEST(StatsReport, FormatsRatesAndDurations)
 
 TEST(StatsReport, ReportMentionsKeyCounters)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     core::StmConfig cfg;
     cfg.num_tasklets = 2;
-    auto stm = core::makeStm(dpu, cfg);
+    auto stm = std::make_unique<core::Stm>(dpu, cfg);
     SharedArray32 arr(dpu, Tier::Mram, 2);
     arr.fill(dpu, 0);
     dpu.addTasklets(2, [&](DpuContext &ctx) {
@@ -147,7 +147,7 @@ TEST(StatsReport, ReportMentionsKeyCounters)
     dpu.run();
 
     std::ostringstream os;
-    core::printReport(os, stm->stats(), dpu.stats(), dpu.timing());
+    core::printReport(os, stm->stats(), dpu.stats());
     const std::string out = os.str();
     EXPECT_NE(out.find("commits"), std::string::npos);
     EXPECT_NE(out.find("time breakdown"), std::string::npos);

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/driver.hh"
 #include "sim/dpu.hh"
 #include "sim/fault.hh"
@@ -185,7 +185,7 @@ makeDpu(bool always_switch = false)
     sim::DpuConfig cfg;
     cfg.mram_bytes = 1 << 20;
     cfg.always_switch = always_switch;
-    return sim::Dpu(cfg, sim::TimingConfig{});
+    return sim::Dpu(cfg);
 }
 
 } // namespace
@@ -194,7 +194,7 @@ TEST(SchedElisionUnit, LoneTaskletNeverSwitchesAfterEntry)
 {
     sim::DpuConfig cfg;
     cfg.mram_bytes = 1 << 20;
-    sim::Dpu dpu(cfg, sim::TimingConfig{});
+    sim::Dpu dpu(cfg);
     dpu.addTasklet([](sim::DpuContext &ctx) {
         for (int i = 0; i < 100; ++i)
             ctx.compute(1);
@@ -209,7 +209,7 @@ TEST(SchedElisionUnit, AlwaysSwitchConfigPaysOneSwitchPerCharge)
     sim::DpuConfig cfg;
     cfg.mram_bytes = 1 << 20;
     cfg.always_switch = true;
-    sim::Dpu dpu(cfg, sim::TimingConfig{});
+    sim::Dpu dpu(cfg);
     dpu.addTasklet([](sim::DpuContext &ctx) {
         for (int i = 0; i < 100; ++i)
             ctx.compute(1);
@@ -226,14 +226,14 @@ TEST(SchedElisionUnit, EnvVarForcesAlwaysSwitch)
     {
         sim::DpuConfig cfg;
         cfg.mram_bytes = 1 << 20;
-        sim::Dpu dpu(cfg, sim::TimingConfig{});
+        sim::Dpu dpu(cfg);
         EXPECT_TRUE(dpu.alwaysSwitch());
     }
     ::setenv("PIMSTM_SIM_ALWAYS_SWITCH", "0", 1);
     {
         sim::DpuConfig cfg;
         cfg.mram_bytes = 1 << 20;
-        sim::Dpu dpu(cfg, sim::TimingConfig{});
+        sim::Dpu dpu(cfg);
         EXPECT_FALSE(dpu.alwaysSwitch());
     }
     ::unsetenv("PIMSTM_SIM_ALWAYS_SWITCH");
@@ -404,7 +404,7 @@ TEST(SchedCounters, ResetRunClearsSchedulerState)
 TEST(SchedCounters, TouchRandomWramChargesPerEightBytes)
 {
     // touchRandom must price WRAM accesses like touchRead/touchWrite:
-    // wram_access_instrs per started 8-byte word, per access.
+    // kWramAccessInstrs per started 8-byte word, per access.
     auto dpu = makeDpu();
     u64 cost_4b = 0, cost_24b = 0;
     dpu.addTasklet([&](sim::DpuContext &ctx) {
@@ -512,7 +512,7 @@ expectRelaunchMatchesFresh(sim::Dpu &dpu, unsigned n)
     addDeepTasklets(dpu, n, draws);
     dpu.run();
 
-    sim::Dpu fresh(dpu.config(), sim::TimingConfig{});
+    sim::Dpu fresh(dpu.config());
     Draws fresh_draws;
     addDeepTasklets(fresh, n, fresh_draws);
     fresh.run();
@@ -528,7 +528,7 @@ expectRelaunchMatchesFresh(sim::Dpu &dpu, unsigned n)
 
 TEST(DpuRelaunch, ResetRunAndRecycleMatchFreshDpus)
 {
-    sim::Dpu dpu(relaunchConfig(), sim::TimingConfig{});
+    sim::Dpu dpu(relaunchConfig());
     for (unsigned n : {4u, 1u, 11u, 24u, 2u}) {
         expectRelaunchMatchesFresh(dpu, n);
         dpu.resetRun();
@@ -536,9 +536,9 @@ TEST(DpuRelaunch, ResetRunAndRecycleMatchFreshDpus)
     // A larger stack than the spare stacks: a new one is allocated.
     sim::DpuConfig bigger = relaunchConfig();
     bigger.fiber_stack_bytes = 2 * relaunchConfig().fiber_stack_bytes;
-    dpu.recycle(bigger, sim::TimingConfig{});
+    dpu.recycle(bigger);
     expectRelaunchMatchesFresh(dpu, 24);
-    dpu.recycle(relaunchConfig(), sim::TimingConfig{});
+    dpu.recycle(relaunchConfig());
     expectRelaunchMatchesFresh(dpu, 7);
 }
 
@@ -546,10 +546,10 @@ TEST(DpuRelaunch, StacksPassBetweenDpusOnOneThread)
 {
     // Alternating launches: each DPU's tasklets start on the stacks the
     // other DPU's tasklets just dirtied.
-    sim::Dpu a(relaunchConfig(), sim::TimingConfig{});
+    sim::Dpu a(relaunchConfig());
     sim::DpuConfig other = relaunchConfig();
     other.seed = 7;
-    sim::Dpu b(other, sim::TimingConfig{});
+    sim::Dpu b(other);
     for (unsigned n : {4u, 11u, 3u}) {
         expectRelaunchMatchesFresh(a, n);
         expectRelaunchMatchesFresh(b, n + 1);
@@ -562,7 +562,7 @@ TEST(DpuRelaunch, CrashAbandonedFibersAreReplaced)
 {
     sim::DpuConfig cfg = relaunchConfig();
     cfg.faults = sim::FaultPlan::parse("dpu-crash=60");
-    sim::Dpu dpu(cfg, sim::TimingConfig{});
+    sim::Dpu dpu(cfg);
 
     // The crash stops the launch with the other tasklets suspended
     // mid-recursion: their fibers are abandoned, never unwound.
@@ -586,7 +586,7 @@ TEST(DpuRelaunch, CrashAbandonedFibersAreReplaced)
 
 TEST(DpuRelaunch, ResetRunDestroysBodies)
 {
-    sim::Dpu dpu(relaunchConfig(), sim::TimingConfig{});
+    sim::Dpu dpu(relaunchConfig());
     auto token = std::make_shared<int>(0);
     dpu.addTasklets(3, [token](sim::DpuContext &ctx) { ctx.compute(1); });
     dpu.run();

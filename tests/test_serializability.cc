@@ -24,7 +24,7 @@
 
 #include <map>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "hostapp/distributed_kv.hh"
 #include "runtime/shared_array.hh"
 
@@ -159,7 +159,7 @@ runIncrementHistoryCheck(const Param &param, const FaultPlan &faults)
     dpu_cfg.mram_bytes = 1 * 1024 * 1024;
     dpu_cfg.seed = 2026;
     dpu_cfg.faults = faults;
-    Dpu dpu(dpu_cfg, TimingConfig{});
+    Dpu dpu(dpu_cfg);
 
     StmConfig cfg;
     cfg.kind = param.kind;
@@ -168,7 +168,7 @@ runIncrementHistoryCheck(const Param &param, const FaultPlan &faults)
     cfg.max_read_set = 32;
     cfg.max_write_set = 16;
     cfg.data_words_hint = kCells;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
 
     SharedArray32 counters(dpu, Tier::Mram, kCells);
     counters.fill(dpu, 0);
@@ -256,7 +256,7 @@ runDurableCrashStitchedCheck(const Param &param, const std::string &spec)
     dpu_cfg.mram_bytes = 1 * 1024 * 1024;
     dpu_cfg.seed = 2027;
     dpu_cfg.faults = FaultPlan::parse(spec);
-    Dpu dpu(dpu_cfg, TimingConfig{});
+    Dpu dpu(dpu_cfg);
 
     StmConfig cfg;
     cfg.kind = param.kind;
@@ -266,7 +266,7 @@ runDurableCrashStitchedCheck(const Param &param, const std::string &spec)
     cfg.max_write_set = 16;
     cfg.data_words_hint = kCells;
     cfg.durable = true;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
 
     SharedArray32 counters(dpu, Tier::Mram, kCells);
     counters.fill(dpu, 0);

@@ -346,7 +346,7 @@ smallDpuConfig()
 
 TEST(Dpu, SingleTaskletComputesAndFinishes)
 {
-    Dpu dpu(smallDpuConfig(), TimingConfig{});
+    Dpu dpu(smallDpuConfig());
     dpu.addTasklet([](DpuContext &ctx) { ctx.compute(100); });
     dpu.run();
     // One tasklet: 100 instructions at the 11-cycle reissue interval.
@@ -360,7 +360,7 @@ TEST(Dpu, ComputeScalesLinearlyUpToEleven)
     // and be flat beyond — the UPMEM pipeline saturation the paper's
     // scalability analysis relies on.
     auto cycles_for = [](unsigned tasklets) {
-        Dpu dpu(smallDpuConfig(), TimingConfig{});
+        Dpu dpu(smallDpuConfig());
         dpu.addTasklets(tasklets,
                         [](DpuContext &ctx) { ctx.compute(1000); });
         dpu.run();
@@ -377,7 +377,7 @@ TEST(Dpu, ComputeScalesLinearlyUpToEleven)
 
 TEST(Dpu, MramSlowerThanWram)
 {
-    Dpu dpu(smallDpuConfig(), TimingConfig{});
+    Dpu dpu(smallDpuConfig());
     const u32 moff = dpu.mram().alloc(64);
     const u32 woff = dpu.wram().alloc(64);
     Cycles wram_cost = 0, mram_cost = 0;
@@ -398,8 +398,7 @@ TEST(Dpu, MramLatencyMatchesPaperMeasurement)
 {
     // The paper measured 231 ns for a local MRAM 64-bit read; the
     // timing model should land in that ballpark (within 25%).
-    TimingConfig t;
-    Dpu dpu(smallDpuConfig(), t);
+    Dpu dpu(smallDpuConfig());
     const u32 off = dpu.mram().alloc(64);
     Cycles cost = 0;
     dpu.addTasklet([&](DpuContext &ctx) {
@@ -408,7 +407,7 @@ TEST(Dpu, MramLatencyMatchesPaperMeasurement)
         cost = ctx.now() - t0;
     });
     dpu.run();
-    const double ns = t.cyclesToSeconds(cost) * 1e9;
+    const double ns = cyclesToSeconds(cost) * 1e9;
     EXPECT_GT(ns, 231.0 * 0.75);
     EXPECT_LT(ns, 231.0 * 1.25);
 }
@@ -419,7 +418,7 @@ TEST(Dpu, MramEngineSerializesBlockTransfers)
     // workload must saturate well below 11x — this is what limits
     // Labyrinth's grid-copy-heavy transactions in the paper.
     auto cycles_for = [](unsigned tasklets) {
-        Dpu dpu(smallDpuConfig(), TimingConfig{});
+        Dpu dpu(smallDpuConfig());
         dpu.addTasklets(tasklets, [](DpuContext &ctx) {
             for (int i = 0; i < 50; ++i)
                 ctx.touchRead(Tier::Mram, 2048);
@@ -439,7 +438,7 @@ TEST(Dpu, WordAccessesPipelineAcrossTasklets)
     // Word-granular MRAM accesses are latency- not bandwidth-bound:
     // 8 tasklets overlap their DMAs and finish close to 1-tasklet time.
     auto cycles_for = [](unsigned tasklets) {
-        Dpu dpu(smallDpuConfig(), TimingConfig{});
+        Dpu dpu(smallDpuConfig());
         const u32 off = dpu.mram().alloc(4096);
         dpu.addTasklets(tasklets, [off](DpuContext &ctx) {
             for (int i = 0; i < 200; ++i)
@@ -458,7 +457,7 @@ TEST(Dpu, WordAccessesPipelineAcrossTasklets)
 TEST(Dpu, DeterministicAcrossRuns)
 {
     auto run_once = [] {
-        Dpu dpu(smallDpuConfig(), TimingConfig{});
+        Dpu dpu(smallDpuConfig());
         const u32 off = dpu.mram().alloc(256);
         dpu.addTasklets(8, [off](DpuContext &ctx) {
             for (int i = 0; i < 50; ++i) {
@@ -476,7 +475,7 @@ TEST(Dpu, DeterministicAcrossRuns)
 
 TEST(Dpu, BarrierRendezvous)
 {
-    Dpu dpu(smallDpuConfig(), TimingConfig{});
+    Dpu dpu(smallDpuConfig());
     const u32 off = dpu.mram().alloc(4);
     dpu.mram().write32(off, 0);
     std::vector<u32> observed;
@@ -498,7 +497,7 @@ TEST(Dpu, BarrierRendezvous)
 
 TEST(Dpu, AcquireBlocksUntilRelease)
 {
-    Dpu dpu(smallDpuConfig(), TimingConfig{});
+    Dpu dpu(smallDpuConfig());
     const u32 off = dpu.mram().alloc(4);
     dpu.mram().write32(off, 0);
     dpu.addTasklets(8, [off](DpuContext &ctx) {
@@ -520,7 +519,7 @@ TEST(Dpu, AcquireBlocksUntilRelease)
 
 TEST(Dpu, PhaseAccountingSplitsCycles)
 {
-    Dpu dpu(smallDpuConfig(), TimingConfig{});
+    Dpu dpu(smallDpuConfig());
     dpu.addTasklet([](DpuContext &ctx) {
         ctx.setPhase(Phase::TxRead);
         ctx.compute(10);
@@ -536,7 +535,7 @@ TEST(Dpu, PhaseAccountingSplitsCycles)
 
 TEST(Dpu, AbortedTxCyclesBecomeWasted)
 {
-    Dpu dpu(smallDpuConfig(), TimingConfig{});
+    Dpu dpu(smallDpuConfig());
     dpu.addTasklet([](DpuContext &ctx) {
         ctx.txAccountingBegin();
         ctx.setPhase(Phase::TxRead);
@@ -558,7 +557,7 @@ TEST(Dpu, AbortedTxCyclesBecomeWasted)
 
 TEST(Dpu, RejectsTooManyTasklets)
 {
-    Dpu dpu(smallDpuConfig(), TimingConfig{});
+    Dpu dpu(smallDpuConfig());
     for (unsigned i = 0; i < 24; ++i)
         dpu.addTasklet([](DpuContext &) {});
     EXPECT_THROW(dpu.addTasklet([](DpuContext &) {}), FatalError);
@@ -566,7 +565,7 @@ TEST(Dpu, RejectsTooManyTasklets)
 
 TEST(Dpu, TaskletExceptionPropagates)
 {
-    Dpu dpu(smallDpuConfig(), TimingConfig{});
+    Dpu dpu(smallDpuConfig());
     dpu.addTasklet([](DpuContext &) { throw std::runtime_error("app"); });
     EXPECT_THROW(dpu.run(), std::runtime_error);
 }
@@ -577,7 +576,7 @@ TEST(Dpu, TaskletExceptionAfterHandoffPropagates)
     // is resumed by a peer giving up the DPU, not by the scheduler loop,
     // so it throws (at its fifth charge) on a fiber the loop never
     // entered.
-    Dpu dpu(smallDpuConfig(), TimingConfig{});
+    Dpu dpu(smallDpuConfig());
     dpu.addTasklets(3, [](DpuContext &ctx) {
         for (int i = 0; i < 10; ++i) {
             if (ctx.taskletId() == 2 && i == 4)

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/shared_array.hh"
 #include "sim/dpu.hh"
 
@@ -28,7 +28,7 @@ smallDpu()
 Cycles
 costOf(const std::function<void(DpuContext &)> &body)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Cycles cost = 0;
     dpu.addTasklet([&](DpuContext &ctx) {
         const Cycles t0 = ctx.now();
@@ -49,14 +49,12 @@ TEST(DpuTiming, LargeBlocksSplitIntoMaxSizeTransfers)
         costOf([](DpuContext &ctx) { ctx.touchRead(Tier::Mram, 2048); });
     const Cycles c4k =
         costOf([](DpuContext &ctx) { ctx.touchRead(Tier::Mram, 4096); });
-    TimingConfig t;
     // c4k ~= c2k + (2048/8)*beat + one more setup + one more SDK issue
     const Cycles extra = c4k - c2k;
-    EXPECT_GE(extra, (2048 / t.mram_beat_bytes) * t.mram_cycles_per_beat);
-    EXPECT_LE(extra,
-              (2048 / t.mram_beat_bytes) * t.mram_cycles_per_beat +
-                  4 * t.mram_engine_setup_cycles +
-                  2 * t.mram_access_instrs * t.reissue_interval);
+    EXPECT_GE(extra, (2048 / kMramBeatBytes) * kMramCyclesPerBeat);
+    EXPECT_LE(extra, (2048 / kMramBeatBytes) * kMramCyclesPerBeat +
+                         4 * kMramEngineSetupCycles +
+                         2 * kMramAccessInstrs * kReissueInterval);
 }
 
 TEST(DpuTiming, RandomAccessesCostFullLatencyEach)
@@ -77,7 +75,7 @@ TEST(DpuTiming, RandomAccessesCostFullLatencyEach)
 TEST(DpuTiming, RandomAccessesAreBandwidthBoundAcrossTasklets)
 {
     auto cycles_for = [](unsigned tasklets) {
-        Dpu dpu(smallDpu(), TimingConfig{});
+        Dpu dpu(smallDpu());
         dpu.addTasklets(tasklets, [](DpuContext &ctx) {
             for (int i = 0; i < 20; ++i)
                 ctx.touchRandom(Tier::Mram, 50, 4, false);
@@ -116,7 +114,7 @@ TEST(DpuTiming, ZeroByteTouchIsHarmless)
 
 TEST(DpuStatsTest, MemoryCountersTrackTraffic)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     const u32 off = dpu.mram().alloc(64);
     dpu.addTasklet([&](DpuContext &ctx) {
         ctx.read32(makeAddr(Tier::Mram, off));
@@ -134,7 +132,7 @@ TEST(DpuStatsTest, MemoryCountersTrackTraffic)
 
 TEST(DpuStatsTest, StallCyclesOnlyWhenContended)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     dpu.addTasklet([&](DpuContext &ctx) {
         ctx.acquire(1);
         ctx.release(1);
@@ -147,7 +145,7 @@ TEST(DpuStatsTest, StallCyclesOnlyWhenContended)
 
 TEST(DpuResetTest, ResetRunPreservesMemoryAndAllocations)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     const u32 off = dpu.mram().alloc(16);
     dpu.mram().write32(off, 1234);
 
@@ -172,7 +170,7 @@ TEST(DpuSchedulerTest, BlockedTaskletsDoNotConsumeIssueSlots)
     // One tasklet holds the atomic bit and computes; others block on
     // it. The computing tasklet's instruction interval must reflect
     // only runnable peers (the blocked ones are stalled).
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     Cycles compute_cost = 0;
     dpu.addTasklet([&](DpuContext &ctx) {
         ctx.acquire(9);
@@ -197,7 +195,7 @@ TEST(DpuSchedulerTest, BlockedTaskletsDoNotConsumeIssueSlots)
 
 TEST(DpuSchedulerTest, ManyTaskletsInflateIssueInterval)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     std::vector<Cycles> costs(22, 0);
     for (unsigned t = 0; t < 22; ++t) {
         dpu.addTasklet([&, t](DpuContext &ctx) {
@@ -216,12 +214,12 @@ TEST(StmCosts, WramMetadataSpeedsUpIdenticalWork)
     // End-to-end §4.2.3 mechanism check: same workload, same STM, only
     // the metadata tier differs.
     auto cycles_for = [](core::MetadataTier tier) {
-        Dpu dpu(smallDpu(), TimingConfig{});
+        Dpu dpu(smallDpu());
         core::StmConfig cfg;
         cfg.kind = core::StmKind::TinyEtlWb;
         cfg.metadata_tier = tier;
         cfg.num_tasklets = 4;
-        auto stm = core::makeStm(dpu, cfg);
+        auto stm = std::make_unique<core::Stm>(dpu, cfg);
         runtime::SharedArray32 arr(dpu, Tier::Mram, 64);
         arr.fill(dpu, 0);
         dpu.addTasklets(4, [&](DpuContext &ctx) {
@@ -248,13 +246,13 @@ TEST(StmCosts, WaitCmRidesOutAShortLockHold)
     // (Under sustained contention waiting does NOT pay off — that is
     // ablation A4's result and why the paper dismisses the policy.)
     auto aborts_for = [](unsigned polls) {
-        Dpu dpu(smallDpu(), TimingConfig{});
+        Dpu dpu(smallDpu());
         core::StmConfig cfg;
         cfg.kind = core::StmKind::TinyEtlWb;
         cfg.num_tasklets = 2;
         cfg.cm_wait_polls = polls;
         cfg.abort_backoff = false; // keep the schedule exact
-        auto stm = core::makeStm(dpu, cfg);
+        auto stm = std::make_unique<core::Stm>(dpu, cfg);
         runtime::SharedArray32 arr(dpu, Tier::Mram, 2);
         arr.fill(dpu, 0);
         dpu.addTasklet([&](DpuContext &ctx) {

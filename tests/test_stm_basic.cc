@@ -13,7 +13,7 @@
 #include <cstring>
 #include <type_traits>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "runtime/shared_array.hh"
 
 using namespace pimstm;
@@ -82,8 +82,8 @@ class StmAll : public testing::TestWithParam<Param>
 
 TEST_P(StmAll, SingleTaskletReadWriteCommit)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
-    auto stm = makeStm(dpu, baseCfg(GetParam(), 1));
+    Dpu dpu(smallDpu());
+    auto stm = std::make_unique<Stm>(dpu, baseCfg(GetParam(), 1));
     SharedArray32 arr(dpu, Tier::Mram, 16);
     arr.fill(dpu, 0);
 
@@ -102,8 +102,8 @@ TEST_P(StmAll, SingleTaskletReadWriteCommit)
 
 TEST_P(StmAll, ReadYourOwnWrites)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
-    auto stm = makeStm(dpu, baseCfg(GetParam(), 1));
+    Dpu dpu(smallDpu());
+    auto stm = std::make_unique<Stm>(dpu, baseCfg(GetParam(), 1));
     SharedArray32 arr(dpu, Tier::Mram, 8);
     arr.fill(dpu, 5);
 
@@ -131,8 +131,8 @@ TEST_P(StmAll, CounterIncrementsAreAtomic)
     constexpr unsigned kTasklets = 8;
     constexpr unsigned kIncs = 25;
 
-    Dpu dpu(smallDpu(), TimingConfig{});
-    auto stm = makeStm(dpu, baseCfg(GetParam(), kTasklets));
+    Dpu dpu(smallDpu());
+    auto stm = std::make_unique<Stm>(dpu, baseCfg(GetParam(), kTasklets));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.fill(dpu, 0);
 
@@ -158,8 +158,8 @@ TEST_P(StmAll, BankTransferPreservesTotal)
     constexpr u32 kAccounts = 16;
     constexpr u32 kInitial = 1000;
 
-    Dpu dpu(smallDpu(), TimingConfig{});
-    auto stm = makeStm(dpu, baseCfg(GetParam(), kTasklets));
+    Dpu dpu(smallDpu());
+    auto stm = std::make_unique<Stm>(dpu, baseCfg(GetParam(), kTasklets));
     SharedArray32 acc(dpu, Tier::Mram, kAccounts);
     acc.fill(dpu, kInitial);
 
@@ -194,8 +194,9 @@ TEST_P(StmAll, ReadOnlyTransactionsSeeConsistentSnapshots)
     constexpr unsigned kWriters = 3;
     constexpr unsigned kReaders = 3;
 
-    Dpu dpu(smallDpu(), TimingConfig{});
-    auto stm = makeStm(dpu, baseCfg(GetParam(), kWriters + kReaders));
+    Dpu dpu(smallDpu());
+    auto stm =
+        std::make_unique<Stm>(dpu, baseCfg(GetParam(), kWriters + kReaders));
     SharedArray32 arr(dpu, Tier::Mram, 2);
     arr.fill(dpu, 0);
 
@@ -233,8 +234,8 @@ TEST_P(StmAll, ReadOnlyTransactionsSeeConsistentSnapshots)
 
 TEST_P(StmAll, UserRetryAbortsAndRetries)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
-    auto stm = makeStm(dpu, baseCfg(GetParam(), 1));
+    Dpu dpu(smallDpu());
+    auto stm = std::make_unique<Stm>(dpu, baseCfg(GetParam(), 1));
     SharedArray32 arr(dpu, Tier::Mram, 1);
     arr.fill(dpu, 0);
 
@@ -261,8 +262,8 @@ TEST_P(StmAll, AbortedWritesAreInvisible)
 {
     // A transaction that always user-aborts first must leave memory
     // untouched between attempts (tests WT undo in particular).
-    Dpu dpu(smallDpu(), TimingConfig{});
-    auto stm = makeStm(dpu, baseCfg(GetParam(), 1));
+    Dpu dpu(smallDpu());
+    auto stm = std::make_unique<Stm>(dpu, baseCfg(GetParam(), 1));
     SharedArray32 arr(dpu, Tier::Mram, 4);
     arr.fill(dpu, 11);
 
@@ -289,8 +290,8 @@ TEST_P(StmAll, AbortedWritesAreInvisible)
 TEST_P(StmAll, WramDataWorksToo)
 {
     // Transactions over data living in WRAM (not just MRAM).
-    Dpu dpu(smallDpu(), TimingConfig{});
-    auto stm = makeStm(dpu, baseCfg(GetParam(), 4));
+    Dpu dpu(smallDpu());
+    auto stm = std::make_unique<Stm>(dpu, baseCfg(GetParam(), 4));
     SharedArray32 arr(dpu, Tier::Wram, 4);
     arr.fill(dpu, 0);
 
@@ -307,8 +308,8 @@ TEST_P(StmAll, WramDataWorksToo)
 
 TEST_P(StmAll, StatsAreInternallyConsistent)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
-    auto stm = makeStm(dpu, baseCfg(GetParam(), 6));
+    Dpu dpu(smallDpu());
+    auto stm = std::make_unique<Stm>(dpu, baseCfg(GetParam(), 6));
     SharedArray32 arr(dpu, Tier::Mram, 2);
     arr.fill(dpu, 0);
 
@@ -339,12 +340,12 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, StmAll, testing::ValuesIn(allParams()),
 
 TEST(StmConfigTest, ReadSetOverflowIsLoud)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     StmConfig cfg;
     cfg.kind = StmKind::NOrec;
     cfg.num_tasklets = 1;
     cfg.max_read_set = 4;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
     SharedArray32 arr(dpu, Tier::Mram, 16);
 
     dpu.addTasklet([&](DpuContext &ctx) {
@@ -361,21 +362,21 @@ TEST(StmConfigTest, WramMetadataCapacityEnforced)
     // Read/write sets too large for WRAM must fail loudly — this is
     // the mechanism behind the paper's "Labyrinth cannot use WRAM
     // metadata" exclusion.
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     StmConfig cfg;
     cfg.kind = StmKind::NOrec;
     cfg.metadata_tier = MetadataTier::Wram;
     cfg.num_tasklets = 11;
     cfg.max_read_set = 4096; // 11 * 4096 * 8B >> 64 KB
     cfg.max_write_set = 4096;
-    EXPECT_THROW(makeStm(dpu, cfg), FatalError);
+    EXPECT_THROW(Stm(dpu, cfg), FatalError);
 }
 
 TEST(StmConfigTest, LockTableSpillsToMramWhenWramFull)
 {
     // The ArrayBench A appendix case: WRAM metadata, but the ORec lock
     // table exceeds WRAM -> only the table spills to MRAM.
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     StmConfig cfg;
     cfg.kind = StmKind::TinyEtlWb;
     cfg.metadata_tier = MetadataTier::Wram;
@@ -383,41 +384,41 @@ TEST(StmConfigTest, LockTableSpillsToMramWhenWramFull)
     cfg.max_read_set = 32;
     cfg.max_write_set = 16;
     cfg.data_words_hint = 16384; // 16K entries x 8B = 128KB > WRAM
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
     EXPECT_EQ(stm->lockTableTier(), Tier::Mram);
     EXPECT_EQ(stm->metadataTier(), MetadataTier::Wram);
 }
 
 TEST(StmConfigTest, LockTableSpillCanBeForbidden)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     StmConfig cfg;
     cfg.kind = StmKind::TinyEtlWb;
     cfg.metadata_tier = MetadataTier::Wram;
     cfg.num_tasklets = 2;
     cfg.data_words_hint = 16384;
     cfg.allow_lock_table_spill = false;
-    EXPECT_THROW(makeStm(dpu, cfg), FatalError);
+    EXPECT_THROW(Stm(dpu, cfg), FatalError);
 }
 
 TEST(StmConfigTest, LockTableSizeFollowsHint)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     StmConfig cfg;
     cfg.kind = StmKind::TinyEtlWb;
     cfg.num_tasklets = 1;
     cfg.data_words_hint = 500;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
     EXPECT_EQ(stm->lockTableEntries(), 512u);
 }
 
 TEST(StmConfigTest, NOrecHasNoLockTable)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     StmConfig cfg;
     cfg.kind = StmKind::NOrec;
     cfg.num_tasklets = 1;
-    auto stm = makeStm(dpu, cfg);
+    auto stm = std::make_unique<Stm>(dpu, cfg);
     EXPECT_EQ(stm->lockTableEntries(), 0u);
 }
 

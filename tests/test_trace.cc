@@ -19,7 +19,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "core/trace.hh"
 #include "runtime/driver.hh"
 #include "workloads/arraybench.hh"
@@ -443,7 +443,7 @@ TEST(TraceWatchdog, ProgressDumpCarriesTraceTail)
 {
     sim::DpuConfig dc;
     dc.mram_bytes = 1 << 20;
-    sim::Dpu dpu(dc, sim::TimingConfig{});
+    sim::Dpu dpu(dc);
     TraceBuffer trace(8);
     dpu.setTraceSink(&trace);
     dpu.addTasklet([](sim::DpuContext &ctx) {

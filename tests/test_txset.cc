@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "core/algorithm.hh"
-#include "core/stm_factory.hh"
+#include "core/stm.hh"
 #include "cpu/norec_cpu.hh"
 #include "runtime/dpu_pool.hh"
 #include "runtime/driver.hh"
@@ -305,7 +305,7 @@ TEST(MemoryLazy, CanAllocValidatesAlignmentLikeAlloc)
 
 TEST(StmAssert, LockIndexWithoutLockTablePanics)
 {
-    Dpu dpu(smallDpu(), TimingConfig{});
+    Dpu dpu(smallDpu());
     StmConfig cfg;
     cfg.kind = StmKind::NOrec;
     cfg.num_tasklets = 1;
@@ -327,7 +327,7 @@ TEST(TxSetStm, CrossCheckedRandomWorkloadAllKinds)
     // of the eight algorithms. A tiny lock table maximizes aliasing.
     CrossCheckScope cross_check;
     for (const StmKind kind : allStmKindsExtended()) {
-        Dpu dpu(smallDpu(11), TimingConfig{});
+        Dpu dpu(smallDpu(11));
         StmConfig cfg;
         cfg.kind = kind;
         cfg.num_tasklets = 4;
@@ -335,7 +335,7 @@ TEST(TxSetStm, CrossCheckedRandomWorkloadAllKinds)
         cfg.max_write_set = 32;
         cfg.data_words_hint = 64;
         cfg.lock_table_entries_override = 16;
-        auto stm = makeStm(dpu, cfg);
+        auto stm = std::make_unique<Stm>(dpu, cfg);
         SharedArray32 arr(dpu, Tier::Mram, 64);
         arr.fill(dpu, 0);
 
@@ -372,9 +372,8 @@ TEST(TxSetStm, CrossCheckedRandomWorkloadAllKinds)
 TEST(DpuPool, RecycleRestoresFreshConstructedState)
 {
     const DpuConfig cfg = smallDpu(3);
-    const TimingConfig timing{};
 
-    Dpu used(cfg, timing);
+    Dpu used(cfg);
     used.mram().write32(0, 0xdead);
     used.wram().write32(16, 0xbeef);
     (void)used.mram().alloc(4096);
@@ -382,8 +381,8 @@ TEST(DpuPool, RecycleRestoresFreshConstructedState)
     used.run();
     ASSERT_GT(used.stats().total_cycles, 0u);
 
-    used.recycle(cfg, timing);
-    Dpu fresh(cfg, timing);
+    used.recycle(cfg);
+    Dpu fresh(cfg);
     EXPECT_EQ(used.mram().read32(0), fresh.mram().read32(0));
     EXPECT_EQ(used.wram().read32(16), fresh.wram().read32(16));
     EXPECT_EQ(used.mram().allocated(), fresh.mram().allocated());
