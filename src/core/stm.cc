@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstring>
 #include <ostream>
 #include <utility>
 
 #include "core/algorithm.hh"
+#include "core/durable_log.hh"
 #include "core/norec.hh"
 #include "core/tiny.hh"
 #include "core/vr.hh"
@@ -47,63 +47,6 @@ std::atomic<u64> g_idx_lookups{0};
 std::atomic<u64> g_idx_probes{0};
 std::atomic<u64> g_idx_inserts{0};
 std::atomic<u64> g_idx_max_probe{0};
-
-//
-// Durable-log record format (docs/durability.md).
-//
-// Header copy (16 bytes, two per slot, written ping-pong):
-//   word0 = seq:32 | entries:16 | state:16
-//   word1 = mix64(word0 ^ kLogHeaderSalt)
-// Entry i (16 bytes at +32 + 16*i):
-//   word0 = addr:32 | payload:32     (payload: WB new value, WT old)
-//   word1 = mix64(word0 ^ mix64(seq ^ kLogEntrySalt))
-//
-// The checksum is the splitmix64 finalizer — not cryptographic, but
-// any reverted or half-torn 8-byte line fails it with overwhelming
-// probability, and binding entries to the header's sequence number
-// makes stale entries from an earlier slot incarnation unreadable.
-//
-
-constexpr u64 kLogHeaderSalt = 0x9e3779b97f4a7c15ull;
-constexpr u64 kLogEntrySalt = 0xd1b54a32d192ed03ull;
-
-/** Bytes of the duplexed header area at the front of each slot. */
-constexpr u32 kLogHeaderBytes = 32;
-
-/** Slot header states. */
-constexpr u32 kSlotEmpty = 0;
-constexpr u32 kSlotActive = 1;    // WT undo log; in-place writes underway
-constexpr u32 kSlotCommitted = 2; // WB redo log, sealed
-
-u64
-mix64(u64 x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-}
-
-u64
-logHeaderWord(u32 seq, u32 entries, u32 state)
-{
-    return (static_cast<u64>(seq) << 32) |
-           (static_cast<u64>(entries & 0xffffu) << 16) | (state & 0xffffu);
-}
-
-u64
-logEntryWord(sim::Addr a, u32 payload)
-{
-    return (static_cast<u64>(a) << 32) | payload;
-}
-
-u64
-logEntryCheck(u32 seq, u64 word)
-{
-    return mix64(word ^ mix64(seq ^ kLogEntrySalt));
-}
 
 void
 accumulateIndexStats(const util::EpochIndexStats &s)
@@ -336,26 +279,9 @@ Stm::reserveMetadata()
     }
     meta_mem.alloc(sets_bytes);
 
-    // Durable redo/undo log: one slot per tasklet, always MRAM (the
-    // only tier that survives a crash), sized for a full write set.
-    // Reserving it also arms the MRAM persist boundary — from here on
-    // every MRAM write tracks its unflushed lines (docs/durability.md).
-    if (cfg_.durable) {
-        log_slot_bytes_ = kLogHeaderBytes +
-                          static_cast<size_t>(cfg_.max_write_set) * 16;
-        const size_t log_bytes = log_slot_bytes_ * cfg_.num_tasklets;
-        if (!dpu_.mram().canAlloc(log_bytes)) {
-            fatal("durable log region (", log_bytes,
-                  " bytes) does not fit in MRAM");
-        }
-        log_base_ = dpu_.mram().alloc(log_bytes);
-        slot_state_.assign(cfg_.num_tasklets, 0);
-        slot_seq_.assign(cfg_.num_tasklets, 0);
-        slot_flip_.assign(cfg_.num_tasklets, 0);
-        log_scratch_.assign(cfg_.num_tasklets, {});
-        dpu_.mram().setPersistTracking(true);
-        durable_log_ = true;
-    }
+    // Durable redo/undo log (docs/durability.md), always in MRAM.
+    if (cfg_.durable)
+        log_ = std::make_unique<DurableLog>(dpu_, cfg_, stats_);
 
     // ORec lock table (absent for NOrec).
     lock_table_tier_ = meta_tier;
@@ -905,23 +831,20 @@ Stm::recordWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v,
     const int w = tx.findWrite(a);
     if (w >= 0) {
         tx.write_set[static_cast<size_t>(w)].value = v;
-        metaWrite(ctx, entry_bytes);
-        if (in_place)
-            ctx.write32(a, v);
-        return;
+    } else {
+        WriteEntry e;
+        e.addr = a;
+        e.value = v;
+        e.lock_index = lock_index;
+        if (in_place) {
+            e.old_value = ctx.read32(a);
+            // Write-ahead rule: the undo entry is fenced before the
+            // in-place write below, with the ownership record held.
+            if (log_)
+                log_->logUndo(ctx, tx, a, e.old_value);
+        }
+        tx.pushWrite(e);
     }
-    WriteEntry e;
-    e.addr = a;
-    e.value = v;
-    e.lock_index = lock_index;
-    if (in_place) {
-        e.old_value = ctx.read32(a);
-        // Write-ahead rule (no-op unless durable): the undo entry is
-        // fenced before the in-place write below, with the ownership
-        // record held.
-        durableWalBeforeWrite(ctx, tx, a, e.old_value);
-    }
-    tx.pushWrite(e);
     metaWrite(ctx, entry_bytes);
     if (in_place)
         ctx.write32(a, v);
@@ -930,164 +853,22 @@ Stm::recordWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v,
 void
 Stm::writeBackCommit(DpuContext &ctx, TxDescriptor &tx, size_t entry_bytes)
 {
-    // Durability point (no-op unless durable): the redo image and the
-    // commit record are sealed with every ownership record held, before
-    // the first in-place write.
-    durableCommitPoint(ctx, tx);
+    // Durability point: the redo image and the commit record are sealed
+    // with every ownership record held, before the first in-place write.
+    if (log_)
+        log_->sealRedo(ctx, tx);
     scanCost(ctx, tx.write_set.size(), entry_bytes);
     for (const auto &e : tx.write_set)
         ctx.write32(e.addr, e.value);
-    durableAfterApply(ctx, tx);
-}
-
-void
-Stm::writeLogHeader(DpuContext &ctx, unsigned tasklet, u32 seq,
-                    u32 entries, u32 state)
-{
-    // Ping-pong between the two header copies: the previous state is
-    // never overwritten, so a crash that tears this (unflushed) copy
-    // always leaves the other copy — flushed by an earlier fence —
-    // readable. Recovery picks the valid copy with the larger
-    // (seq, entries) pair.
-    const u32 off = logSlotBase(tasklet) + 16u * slot_flip_[tasklet];
-    slot_flip_[tasklet] ^= 1;
-    u64 rec[2];
-    rec[0] = logHeaderWord(seq, entries, state);
-    rec[1] = mix64(rec[0] ^ kLogHeaderSalt);
-    ctx.writeBlock(sim::makeAddr(Tier::Mram, off), rec, 16);
-}
-
-void
-Stm::durableFence(DpuContext &ctx)
-{
-    const size_t lines = dpu_.mram().pendingPersistLines();
-    ctx.flushFence();
-    ++stats_.flush_fences;
-    if (cfg_.trace) {
-        cfg_.trace->record(ctx.now(), ctx.taskletId(), TxEvent::FlushFence,
-                           static_cast<u32>(lines));
-    }
-}
-
-void
-Stm::durableCommitPoint(DpuContext &ctx, TxDescriptor &tx)
-{
-    if (!durable_log_ || tx.write_set.empty())
-        return;
-    const unsigned t = tx.tasklet();
-    const u32 seq = static_cast<u32>(++durable_seq_);
-    const u32 n = static_cast<u32>(tx.write_set.size());
-    std::vector<u8> &image = log_scratch_[t];
-    image.resize(static_cast<size_t>(n) * 16);
-    u8 *p = image.data();
-    for (const WriteEntry &e : tx.write_set) {
-        fatalIf(sim::addrTier(e.addr) != Tier::Mram,
-                "durable transactions require MRAM-resident data: WRAM "
-                "address in the write set of a durable commit");
-        const u64 w = logEntryWord(e.addr, e.value);
-        const u64 c = logEntryCheck(seq, w);
-        std::memcpy(p, &w, 8);
-        std::memcpy(p + 8, &c, 8);
-        p += 16;
-    }
-    ctx.writeBlock(sim::makeAddr(Tier::Mram, logSlotBase(t) +
-                                                 kLogHeaderBytes),
-                   image.data(), image.size());
-    writeLogHeader(ctx, t, seq, n, kSlotCommitted);
-    ++stats_.log_appends;
-    stats_.log_bytes += image.size() + 16;
-    if (cfg_.trace) {
-        cfg_.trace->record(ctx.now(), ctx.taskletId(), TxEvent::LogAppend,
-                           static_cast<u32>(image.size() + 16), n);
-    }
-    // The durability point: redo image + commit record reach the
-    // persist boundary before the first in-place write exists.
-    durableFence(ctx);
-    ++stats_.durable_commits;
-    if (cfg_.trace) {
-        cfg_.trace->record(ctx.now(), ctx.taskletId(),
-                           TxEvent::DurableCommit, seq);
-    }
-    slot_state_[t] = kSlotCommitted;
-    slot_seq_[t] = seq;
-}
-
-void
-Stm::durableAfterApply(DpuContext &ctx, TxDescriptor &tx)
-{
-    const unsigned t = tx.tasklet();
-    if (!durable_log_ || slot_state_[t] != kSlotCommitted)
-        return;
-    // Flush the applied data before the record can be retired: the
-    // truncation must never become durable while a data line the
-    // record covers is still unflushed. The truncation itself stays
-    // unfenced — if it is lost, recovery merely re-applies committed
-    // values (idempotent); any later fence on this DPU flushes it.
-    durableFence(ctx);
-    writeLogHeader(ctx, t, static_cast<u32>(++durable_seq_), 0,
-                   kSlotEmpty);
-    slot_state_[t] = kSlotEmpty;
-}
-
-void
-Stm::durableWalBeforeWrite(DpuContext &ctx, TxDescriptor &tx, Addr a,
-                           u32 old_value)
-{
-    if (!durable_log_)
-        return;
-    if (tx.findWrite(a) >= 0)
-        return; // already undo-logged (and fenced) by the first write
-    fatalIf(sim::addrTier(a) != Tier::Mram,
-            "durable transactions require MRAM-resident data: "
-            "write-through store to a WRAM address");
-    const unsigned t = tx.tasklet();
-    const u32 n = static_cast<u32>(tx.write_set.size());
-    if (n >= cfg_.max_write_set)
-        return; // let pushWrite report the overflow
-    if (slot_state_[t] != kSlotActive)
-        slot_seq_[t] = static_cast<u32>(++durable_seq_);
-    const u32 seq = slot_seq_[t];
-    u64 rec[2];
-    rec[0] = logEntryWord(a, old_value);
-    rec[1] = logEntryCheck(seq, rec[0]);
-    ctx.writeBlock(sim::makeAddr(Tier::Mram, logSlotBase(t) +
-                                                 kLogHeaderBytes + n * 16),
-                   rec, 16);
-    writeLogHeader(ctx, t, seq, n + 1, kSlotActive);
-    ++stats_.log_appends;
-    stats_.log_bytes += 32; // entry + header rewrite
-    if (cfg_.trace) {
-        cfg_.trace->record(ctx.now(), ctx.taskletId(), TxEvent::LogAppend,
-                           32, 1);
-    }
-    // Write-ahead rule: the undo entry is durable before the in-place
-    // write that it covers can exist.
-    durableFence(ctx);
-    slot_state_[t] = kSlotActive;
+    if (log_)
+        log_->retire(ctx, tx.tasklet());
 }
 
 void
 Stm::writeThroughCommit(DpuContext &ctx, TxDescriptor &tx)
 {
-    const unsigned t = tx.tasklet();
-    if (!durable_log_ || slot_state_[t] != kSlotActive)
-        return;
-    // The durability point of a write-through commit: the in-place
-    // writes are flushed while the undo log still stands.
-    durableFence(ctx);
-    ++stats_.durable_commits;
-    if (cfg_.trace) {
-        cfg_.trace->record(ctx.now(), ctx.taskletId(),
-                           TxEvent::DurableCommit, slot_seq_[t]);
-    }
-    // Retire the undo log and fence the truncation: unlike a stale
-    // committed record (idempotent redo), a stale *active* record
-    // would undo data the fence above just made durable, so it must
-    // be impossible for it to resurface.
-    writeLogHeader(ctx, t, static_cast<u32>(++durable_seq_), 0,
-                   kSlotEmpty);
-    durableFence(ctx);
-    slot_state_[t] = kSlotEmpty;
+    if (log_)
+        log_->commitUndo(ctx, tx.tasklet());
 }
 
 void
@@ -1095,153 +876,14 @@ Stm::writeThroughUndo(DpuContext &ctx, TxDescriptor &tx)
 {
     for (auto it = tx.write_set.rbegin(); it != tx.write_set.rend(); ++it)
         ctx.write32(it->addr, it->old_value);
-    const unsigned t = tx.tasklet();
-    if (!durable_log_ || slot_state_[t] != kSlotActive)
-        return;
-    // Every old value is restored with the ownership records still
-    // held; flush those restores, then retire the log. The truncation
-    // stays unfenced: a resurrected undo record replays exactly the
-    // values the restore just flushed.
-    durableFence(ctx);
-    writeLogHeader(ctx, t, static_cast<u32>(++durable_seq_), 0,
-                   kSlotEmpty);
-    slot_state_[t] = kSlotEmpty;
+    if (log_)
+        log_->retire(ctx, tx.tasklet());
 }
 
 RecoveryReport
 Stm::recoverAfterCrash()
 {
-    RecoveryReport r;
-    sim::Memory &mram = dpu_.mram();
-    if (durable_log_) {
-        struct CommittedLog
-        {
-            u32 seq;
-            std::vector<std::pair<Addr, u32>> writes;
-        };
-        std::vector<CommittedLog> committed;
-
-        for (unsigned t = 0; t < cfg_.num_tasklets; ++t) {
-            const u32 base = logSlotBase(t);
-            // Decode both header copies; adopt the valid one with the
-            // larger (seq, entries) pair. At most one copy is ever
-            // unflushed (every header write is covered by the next
-            // fence before the other copy is touched again), so a torn
-            // copy never hides the slot's last durable state.
-            bool have = false, torn = false;
-            u32 seq = 0, n = 0, state = kSlotEmpty;
-            bool untouched = true;
-            for (u32 c = 0; c < 2; ++c) {
-                const u64 w0 = mram.read64(base + 16 * c);
-                const u64 w1 = mram.read64(base + 16 * c + 8);
-                if (w0 == 0 && w1 == 0)
-                    continue; // never written
-                untouched = false;
-                if (w1 != mix64(w0 ^ kLogHeaderSalt)) {
-                    torn = true; // an unflushed header write, resolved torn
-                    continue;
-                }
-                const u32 cseq = static_cast<u32>(w0 >> 32);
-                const u32 cn = static_cast<u32>((w0 >> 16) & 0xffffu);
-                const u32 cstate = static_cast<u32>(w0 & 0xffffu);
-                if (!have || cseq > seq || (cseq == seq && cn > n)) {
-                    seq = cseq;
-                    n = cn;
-                    state = cstate;
-                }
-                have = true;
-            }
-            if (untouched)
-                continue;
-            if (!have || state == kSlotEmpty || n > cfg_.max_write_set) {
-                // Truncated slot, or nothing readable: nothing the
-                // crash can have torn depends on it (every data write
-                // is ordered behind its record's fence).
-                if (torn || (have && n > cfg_.max_write_set)) {
-                    ++r.torn;
-                    ++r.discarded;
-                }
-                mram.fill(base, 0, kLogHeaderBytes);
-                continue;
-            }
-
-            // Validate the entries under the header's sequence number.
-            std::vector<std::pair<Addr, u32>> writes;
-            std::vector<bool> valid(n, false);
-            bool all_valid = true;
-            for (u32 i = 0; i < n; ++i) {
-                const u32 off = base + kLogHeaderBytes + i * 16;
-                const u64 ew = mram.read64(off);
-                const u64 ec = mram.read64(off + 8);
-                if (ec == logEntryCheck(seq, ew)) {
-                    valid[i] = true;
-                    writes.emplace_back(static_cast<Addr>(ew >> 32),
-                                        static_cast<u32>(ew));
-                } else {
-                    all_valid = false;
-                    writes.emplace_back(0, 0);
-                }
-            }
-
-            if (state == kSlotCommitted) {
-                if (all_valid) {
-                    // Sealed redo log — including the "luck commit"
-                    // case where the crash preceded the fence but every
-                    // line happened to survive: the record is
-                    // indistinguishable from a fenced one and replaying
-                    // it is correct either way.
-                    committed.push_back({seq, std::move(writes)});
-                } else {
-                    // A record that never reached its fence: no
-                    // in-place write existed yet, discarding loses
-                    // nothing.
-                    ++r.torn;
-                    ++r.discarded;
-                }
-            } else { // kSlotActive: write-through undo log
-                // A torn entry means its fence — and therefore the
-                // in-place write it covers — never happened; skipping
-                // it is exactly right. Valid entries are replayed in
-                // reverse append order.
-                if (!all_valid || torn)
-                    ++r.torn;
-                bool any = false;
-                for (u32 i = n; i-- > 0;) {
-                    if (!valid[i])
-                        continue;
-                    mram.write32(sim::addrOffset(writes[i].first),
-                                 writes[i].second);
-                    any = true;
-                }
-                if (any)
-                    ++r.undone;
-                else
-                    ++r.discarded;
-            }
-            mram.fill(base, 0, kLogHeaderBytes);
-        }
-
-        // Redo in commit order. Sequence numbers are assigned with
-        // every ownership record held, so this order agrees with the
-        // per-address commit order of the crashed run.
-        std::sort(committed.begin(), committed.end(),
-                  [](const CommittedLog &a, const CommittedLog &b) {
-                      return a.seq < b.seq;
-                  });
-        for (const CommittedLog &log : committed) {
-            for (const auto &[addr, value] : log.writes)
-                mram.write32(sim::addrOffset(addr), value);
-            ++r.redone;
-        }
-
-        // Recovery's own writes are host DMA followed by a flush: they
-        // are durable before the program restarts.
-        mram.fence();
-
-        std::fill(slot_state_.begin(), slot_state_.end(), 0);
-        std::fill(slot_seq_.begin(), slot_seq_.end(), 0);
-        std::fill(slot_flip_.begin(), slot_flip_.end(), 0);
-    }
+    const RecoveryReport r = log_ ? log_->recover() : RecoveryReport{};
 
     // Volatile STM bookkeeping: the host vectors survived the crash,
     // but the transactions they describe did not.

@@ -333,14 +333,17 @@ class StructureScope
 };
 
 class StmAlgorithm;
+class DurableLog;
 
 /**
  * The transaction engine. One instance per DPU; tasklets of that DPU
  * share it. The engine owns the descriptors, the statistics, the
  * metadata layout and its simulated-memory reservation, tracing, fault
- * delivery, the serial-irrevocable token, the boosting unwind, the
- * durable log and the adaptation knobs; the algorithm (NOrec, Tiny or
- * VR — algorithm.hh) supplies the do* hooks run inside each wrapper.
+ * delivery, the serial-irrevocable token, the boosting unwind and the
+ * adaptation knobs; the algorithm (NOrec, Tiny or VR — algorithm.hh)
+ * supplies the do* hooks run inside each wrapper. In durable mode it
+ * also holds the durable log (durable_log.hh) and calls its protocol
+ * steps from the write-set plumbing.
  *
  * The engine holds one algorithm per candidate kind — exactly one
  * unless live kind switching is requested. With several, metadata is
@@ -494,38 +497,16 @@ class Stm final
 
     /**
      * @{ Write-set plumbing shared by the algorithms, and the only code
-     * that places the durable commit protocol (docs/durability.md)
-     * around in-place writes. Each durable step is a single never-taken
-     * compare when StmConfig::durable is off. @p entry_bytes is the
-     * calling algorithm's write-entry size (set scans, entry writes).
+     * that meets the durable log: each calls its DurableLog step
+     * (durable_log.hh) when log_ exists. @p entry_bytes is the calling
+     * algorithm's write-entry size (set scans, entry writes).
      *
      * recordWrite buffers a write in the write set, or for write-through
-     * (@p in_place) also applies it after saving the old value; under
-     * durable mode that first write is undo-logged with the ownership
-     * record held, before the in-place write (entry + fence, the
-     * write-ahead rule).
-     *
+     * (@p in_place) also applies it after saving the old value.
      * writeBackCommit applies a write-back commit once validation has
-     * succeeded and every ownership record is held. Under durable mode
-     * it first appends the redo image of the write set to the tasklet's
-     * log slot, seals it with a sequenced commit record and issues a
-     * flush fence — the transaction's durability point; after the
-     * in-place writes it fences the applied data and truncates the
-     * slot. The truncation stays unfenced because a resurrected
-     * committed record only re-applies the values this commit already
-     * made durable.
-     *
-     * writeThroughCommit is the write-through durability point, called
-     * before ownership is released: fence (the in-place writes are now
-     * flushed), truncate, fence again so a stale *active* record can
-     * never resurface and undo committed data.
-     *
-     * writeThroughUndo restores the old values newest first, then —
-     * still before the ownership records are released, since the slot
-     * must never outlive the locks protecting the addresses its stale
-     * undo image names — fences the restored values and truncates the
-     * undo log, leaving the truncation unfenced: replaying a
-     * resurrected undo log rewrites the very values just restored.
+     * succeeded and every ownership record is held. writeThroughCommit
+     * runs before ownership is released. writeThroughUndo restores the
+     * old values newest first, also with the ownership records held.
      */
     void recordWrite(DpuContext &ctx, TxDescriptor &tx, Addr a, u32 v,
                      u32 lock_index, size_t entry_bytes, bool in_place);
@@ -533,13 +514,6 @@ class Stm final
                          size_t entry_bytes);
     void writeThroughCommit(DpuContext &ctx, TxDescriptor &tx);
     void writeThroughUndo(DpuContext &ctx, TxDescriptor &tx);
-    /** @} */
-
-    /** @{ The durable steps the write-set plumbing composes. */
-    void durableCommitPoint(DpuContext &ctx, TxDescriptor &tx);
-    void durableAfterApply(DpuContext &ctx, TxDescriptor &tx);
-    void durableWalBeforeWrite(DpuContext &ctx, TxDescriptor &tx, Addr a,
-                               u32 old_value);
     /** @} */
 
     /** Reserve simulated memory for descriptors, the durable log, the
@@ -617,46 +591,8 @@ class Stm final
      * count the serial token and a kind switch drain to zero. */
     unsigned active_txs_ = 0;
 
-    /**
-     * @{ Durable log state (docs/durability.md). The slot layout is
-     * per tasklet: two 16-byte self-checksummed header copies written
-     * ping-pong (so at most one copy is ever unflushed, and a torn
-     * header write always leaves the other copy readable), then
-     * max_write_set 16-byte entries. All mirrors of MRAM content here
-     * are host bookkeeping; recovery trusts only the MRAM bytes.
-     */
-    /** Log region reserved and persist tracking armed. */
-    bool durable_log_ = false;
-    /** MRAM byte offset of tasklet 0's slot. */
-    u32 log_base_ = 0;
-    /** Bytes per per-tasklet slot (32-byte header area + entries). */
-    size_t log_slot_bytes_ = 0;
-    /** Commit sequence source; headers carry its low 32 bits. */
-    u64 durable_seq_ = 0;
-    /** Per-tasklet open-slot mirror: 0 empty, 1 active, 2 committed. */
-    std::vector<u8> slot_state_;
-    /** Sequence number of each tasklet's open record. */
-    std::vector<u32> slot_seq_;
-    /** Which header copy the next header write lands in (ping-pong). */
-    std::vector<u8> slot_flip_;
-    /**
-     * Per-tasklet redo-image encoding scratch (host). One buffer per
-     * tasklet: writeBlock charges (and may switch fibers) before it
-     * copies, so a shared buffer could be resized or overwritten by
-     * another tasklet's commit while this one's write is in flight.
-     */
-    std::vector<std::vector<u8>> log_scratch_;
-
-    u32
-    logSlotBase(unsigned tasklet) const
-    {
-        return log_base_ + static_cast<u32>(log_slot_bytes_ * tasklet);
-    }
-
-    void writeLogHeader(DpuContext &ctx, unsigned tasklet, u32 seq,
-                        u32 entries, u32 state);
-    void durableFence(DpuContext &ctx);
-    /** @} */
+    /** The durable redo/undo log; null unless StmConfig::durable. */
+    std::unique_ptr<DurableLog> log_;
 };
 
 /**
