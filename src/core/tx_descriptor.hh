@@ -13,14 +13,15 @@
  *
  * Lookup cost model vs host cost
  * ------------------------------
- * findWrite()/hasRead() are answered from an O(1) epoch-invalidated
- * hash index (util::EpochIndex) so the *host* never walks the sets,
- * while the callers keep charging the *simulated* machine the exact
- * same linear scanCost() as before — the simulated DPU has no hash
- * index, only contiguous sets it must stream. findWriteLinear()/
- * hasReadLinear() are the linear-scan reference implementations kept
- * for differential tests, and setCrossCheck(true) makes every indexed
- * lookup verify itself against the linear answer.
+ * findWrite() is answered from an O(1) epoch-invalidated hash index
+ * (util::EpochIndex) so the *host* never walks the write set, while
+ * the callers keep charging the *simulated* machine the exact same
+ * linear scanCost() as before — the simulated DPU has no hash index,
+ * only contiguous sets it must stream. No algorithm asks whether an
+ * address was read, so the read set has no index. findWriteLinear() is
+ * the linear-scan reference implementation kept for differential
+ * tests, and setCrossCheck(true) makes every indexed lookup verify
+ * itself against the linear answer.
  */
 
 #ifndef PIMSTM_CORE_TX_DESCRIPTOR_HH
@@ -124,21 +125,19 @@ class TxDescriptor
         read_set.reserve(rs_cap);
         write_set.reserve(ws_cap);
         locks.reserve(static_cast<size_t>(rs_cap) + ws_cap);
-        read_index_.init(rs_cap);
         write_index_.init(ws_cap);
     }
 
     unsigned tasklet() const { return tasklet_; }
 
-    /** Reset for a fresh transaction attempt. O(1): the set indexes are
-     * invalidated by bumping their epoch, not by re-zeroing. */
+    /** Reset for a fresh transaction attempt. O(1): the write-set index
+     * is invalidated by bumping its epoch, not by re-zeroing. */
     void
     reset()
     {
         read_set.clear();
         write_set.clear();
         locks.clear();
-        read_index_.clear();
         write_index_.clear();
         snapshot = 0;
         upper = 0;
@@ -153,8 +152,6 @@ class TxDescriptor
         fatalIf(read_set.size() >= rs_cap_,
                 "read-set overflow (capacity ", rs_cap_,
                 "); raise StmConfig::max_read_set");
-        read_index_.insert(e.addr,
-                           static_cast<u32>(read_set.size()));
         read_set.push_back(e);
     }
 
@@ -186,21 +183,7 @@ class TxDescriptor
         return w;
     }
 
-    /** Read-set membership check (simulated cost charged by caller). */
-    bool
-    hasRead(sim::Addr a) const
-    {
-        const bool r = read_index_.find(a) >= 0;
-        if (cross_check_.load(std::memory_order_relaxed)) {
-            const bool ref = hasReadLinear(a);
-            panicIf(r != ref, "tx read-set index diverged from linear ",
-                    "scan: addr ", a, " index says ", r, ", scan says ",
-                    ref);
-        }
-        return r;
-    }
-
-    /** @{ Linear-scan reference implementations (differential tests). */
+    /** Linear-scan reference implementation (differential tests). */
     int
     findWriteLinear(sim::Addr a) const
     {
@@ -209,16 +192,6 @@ class TxDescriptor
                 return static_cast<int>(i);
         return -1;
     }
-
-    bool
-    hasReadLinear(sim::Addr a) const
-    {
-        for (const auto &e : read_set)
-            if (e.addr == a)
-                return true;
-        return false;
-    }
-    /** @} */
 
     /** When enabled, every indexed lookup re-runs the linear scan and
      * panics on divergence. Host-side debug knob for tests; applies to
@@ -229,14 +202,8 @@ class TxDescriptor
         cross_check_.store(on, std::memory_order_relaxed);
     }
 
-    /** Combined host-side probe statistics of both set indexes. */
-    util::EpochIndexStats
-    indexStats() const
-    {
-        util::EpochIndexStats s = read_index_.stats();
-        s += write_index_.stats();
-        return s;
-    }
+    /** Host-side probe statistics of the write-set index. */
+    util::EpochIndexStats indexStats() const { return write_index_.stats(); }
 
     unsigned readCapacity() const { return rs_cap_; }
     unsigned writeCapacity() const { return ws_cap_; }
@@ -290,8 +257,6 @@ class TxDescriptor
     unsigned rs_cap_;
     unsigned ws_cap_;
 
-    /** addr -> first read-set entry index (membership). */
-    util::EpochIndex<sim::Addr> read_index_;
     /** addr -> write-set entry index (unique per address). */
     util::EpochIndex<sim::Addr> write_index_;
 };
