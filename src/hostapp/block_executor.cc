@@ -8,9 +8,6 @@ namespace pimstm::hostapp
 BlockExecutor::BlockExecutor(const BlockExecutorConfig &cfg)
     : cfg_(cfg)
 {
-    fatalIf(cfg.tasklets == 0 || cfg.tasklets > sim::kMaxTasklets,
-            "tasklets must be in [1, ", sim::kMaxTasklets, "]");
-
     sim::DpuConfig dpu_cfg;
     dpu_cfg.mram_bytes = cfg.mram_bytes;
     dpu_cfg.seed = cfg.seed;

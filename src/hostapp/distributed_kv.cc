@@ -152,9 +152,6 @@ struct DistributedKv::InFlight
 DistributedKv::DistributedKv(const DistributedKvConfig &cfg) : cfg_(cfg)
 {
     fatalIf(cfg.shards == 0, "DistributedKv needs at least one shard");
-    fatalIf(cfg.tasklets_per_dpu == 0 ||
-                cfg.tasklets_per_dpu > sim::kMaxTasklets,
-            "tasklets_per_dpu must be in [1, ", sim::kMaxTasklets, "]");
     fatalIf(cfg.serial_token_after == 0,
             "serial_token_after must be >= 1");
     fatalIf(cfg.max_inflight_per_shard == 0,

@@ -12,9 +12,6 @@ namespace pimstm::runtime
 RunResult
 runWorkload(Workload &workload, const RunSpec &spec)
 {
-    fatalIf(spec.tasklets == 0 || spec.tasklets > sim::kMaxTasklets,
-            "tasklet count must be in [1, ", sim::kMaxTasklets, "]");
-
     util::tuneHostAllocator();
 
     sim::DpuConfig dpu_cfg;

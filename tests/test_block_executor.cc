@@ -94,6 +94,10 @@ TEST(BlockExecutorTest, SingleTaskletIsTriviallyOrdered)
     const auto ref = sequentialReference(20);
     for (u32 w = 0; w < 8; ++w)
         EXPECT_EQ(exec.state().peek(exec.dpu(), w), ref[w]);
+    // One tasklet is the lower bound: 0, and more than a DPU's 24, are
+    // refused.
+    EXPECT_THROW(BlockExecutor{cfgFor(StmKind::NOrec, 0)}, FatalError);
+    EXPECT_THROW(BlockExecutor{cfgFor(StmKind::NOrec, 25)}, FatalError);
 }
 
 TEST(BlockExecutorTest, UnorderedModeStillSerializable)

@@ -324,6 +324,11 @@ TEST(DistributedKvTest, RejectsInvalidConfigsAndKeys)
     DistributedKvConfig bad = smallCfg();
     bad.shards = 0;
     EXPECT_THROW(DistributedKv{bad}, FatalError);
+    bad = smallCfg();
+    bad.tasklets_per_dpu = 0;
+    EXPECT_THROW(DistributedKv{bad}, FatalError);
+    bad.tasklets_per_dpu = 25;
+    EXPECT_THROW(DistributedKv{bad}, FatalError);
 
     auto kv = std::make_unique<DistributedKv>(smallCfg());
     EXPECT_THROW(kv->execute({KvOp::put(TxHashMap::kEmpty, 1)}),
