@@ -35,8 +35,6 @@ class TinyAlgorithm : public StmAlgorithm
 
     bool encounterTimeLocking() const { return etl_; }
     bool writeBack() const { return wb_; }
-    /** True for the TL2 variant (no snapshot extension). */
-    bool noExtension() const { return no_extend_; }
 
     /** Current global version clock (tests only). */
     u64 clock() const { return clock_; }

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -119,19 +118,6 @@ struct EpochSample
         return total == 0 ? 0.0
                           : static_cast<double>(aborts) /
                                 static_cast<double>(total);
-    }
-
-    /** Wasted cycles (backoff + lock waits) per committed tx.
-     * All-waste epochs read as +inf. */
-    double
-    wastePerCommit() const
-    {
-        const double waste = static_cast<double>(backoff_cycles) +
-                             static_cast<double>(lock_wait_cycles);
-        if (commits == 0)
-            return waste > 0 ? std::numeric_limits<double>::infinity()
-                             : 0.0;
-        return waste / static_cast<double>(commits);
     }
 
     /** Share of the epoch's available tasklet-cycles spent on backoff

@@ -98,7 +98,6 @@ class AbstractLockManager final : public core::SemanticLockOwner
                         Tier tier = Tier::Mram);
 
     u32 numStripes() const { return stripes_; }
-    core::StructureId structureId() const { return sid_; }
 
     /** Host-pure stripe hash (exposed for the fiber-free tests). */
     static u32

@@ -161,12 +161,6 @@ class TxHashMap
         sid_ = static_cast<u8>(sid);
     }
 
-    core::StructureId
-    structureId() const
-    {
-        return static_cast<core::StructureId>(sid_);
-    }
-
     /** Insert or update inside @p tx; false when the table is full. */
     bool
     insert(core::TxHandle &tx, u32 key, u32 value)

@@ -49,17 +49,6 @@ class TxQueue
         return ticket;
     }
 
-    /** Pop as part of an enclosing transaction. */
-    s64
-    popInTx(core::TxHandle &tx)
-    {
-        const u32 h = tx.read(head_.at(0));
-        if (h >= size_)
-            return -1;
-        tx.write(head_.at(0), h + 1);
-        return h;
-    }
-
     u32 size() const { return size_; }
 
   private:

@@ -48,7 +48,6 @@ class AtomicRegister
                 usable_bits);
         bits_ = usable_bits;
         holder_.assign(usable_bits, kFree);
-        acquires_ = 0;
     }
 
     /** Hardware hash from an address-like key to a bit index. */
@@ -70,7 +69,6 @@ class AtomicRegister
         if (holder_[bit] != kFree)
             return false;
         holder_[bit] = static_cast<s16>(tasklet);
-        ++acquires_;
         return true;
     }
 
@@ -103,9 +101,6 @@ class AtomicRegister
 
     unsigned numBits() const { return bits_; }
 
-    /** Total successful acquires (for the aliasing ablation stats). */
-    u64 acquireCount() const { return acquires_; }
-
   private:
     static constexpr s16 kFree = -1;
 
@@ -117,7 +112,6 @@ class AtomicRegister
 
     unsigned bits_ = 0;
     std::vector<s16> holder_;
-    u64 acquires_ = 0;
 };
 
 } // namespace pimstm::sim

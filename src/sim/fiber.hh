@@ -139,17 +139,6 @@ class Fiber
     /** True if init() has been called and the body has not finished. */
     bool runnable() const { return started_ && !finished_; }
 
-    /** True when the fast (syscall-free) switch primitive is in use. */
-    static constexpr bool
-    fastSwitch()
-    {
-#ifdef PIMSTM_FIBER_FAST
-        return true;
-#else
-        return false;
-#endif
-    }
-
   private:
 #ifdef PIMSTM_FIBER_FAST
     friend void fiberEntry();

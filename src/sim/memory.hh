@@ -125,8 +125,6 @@ class Memory
         clearPending();
     }
 
-    bool persistTracking() const { return persist_; }
-
     /** Lines dirtied since the last fence. */
     size_t pendingPersistLines() const { return pending_.size(); }
 

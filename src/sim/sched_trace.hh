@@ -17,7 +17,6 @@
 #define PIMSTM_SIM_SCHED_TRACE_HH
 
 #include <iosfwd>
-#include <string_view>
 
 #include "util/types.hh"
 
@@ -48,21 +47,6 @@ enum class SchedEvent : u8
 
 constexpr size_t kNumSchedEvents =
     static_cast<size_t>(SchedEvent::NumEvents);
-
-constexpr std::string_view
-schedEventName(SchedEvent e)
-{
-    switch (e) {
-      case SchedEvent::Switch: return "sched_switch";
-      case SchedEvent::Stall: return "sched_stall";
-      case SchedEvent::Wake: return "sched_wake";
-      case SchedEvent::BarrierArrive: return "barrier_arrive";
-      case SchedEvent::BarrierRelease: return "barrier_release";
-      case SchedEvent::FaultStall: return "fault_stall";
-      case SchedEvent::FaultAcqDelay: return "fault_acq_delay";
-      default: return "?";
-    }
-}
 
 /** Receiver of scheduler events; attached with Dpu::setTraceSink. */
 class SchedTraceSink
