@@ -20,7 +20,7 @@
  * scripts/check_perf_json.py against BENCH_sim.adaptive.json).
  *
  * The common contention-knob flags --backoff=BASE:SHIFT and
- * --cm=POLLS:CYCLES (bench/common.hh KnobFlags) apply to the static
+ * --cm=POLLS:CYCLES (bench/common.hh BenchOptions) apply to the static
  * sweeps and set the controller's starting point.
  */
 

@@ -63,6 +63,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/dpu_pool.hh"
@@ -451,114 +452,6 @@ class TraceFileWriter
     bool registered_ = false;
 };
 
-/**
- * Contention-knob flags (README §flags), part of the common grammar:
- * BenchOptions::parse consumes them for every harness and
- * BenchOptions::applyTo copies them into the sweep base. tryParse()
- * keeps the ExtraFlag hook shape so a harness with its own parser can
- * reuse it standalone.
- *
- *   --backoff=BASE:SHIFT  post-abort randomized backoff: base window
- *                 in cycles (>= 1) and the doubling cap as a shift
- *                 (window <= BASE << SHIFT). Defaults 16:12.
- *   --cm=POLLS:CYCLES  wait-on-contention manager: polls of a held
- *                 lock before aborting (0 = abort immediately) and the
- *                 per-poll wait in cycles (>= 1). Defaults 0:64.
- *
- * Malformed values print a diagnostic and exit(2), exactly like the
- * common flags. Passing the defaults explicitly is bitwise identical
- * to not passing the flag (CI-gated).
- */
-struct KnobFlags
-{
-    /** @{ --backoff=BASE:SHIFT (set = the flag was given). */
-    bool backoff_set = false;
-    Cycles backoff_base = 0;
-    unsigned backoff_max_shift = 0;
-    /** @} */
-
-    /** @{ --cm=POLLS:CYCLES. */
-    bool cm_set = false;
-    unsigned cm_polls = 0;
-    Cycles cm_cycles = 0;
-    /** @} */
-
-    /** ExtraFlag hook body: consume --backoff=/--cm= (exit 2 when
-     * malformed), return false on anything else. */
-    bool
-    tryParse(const char *prog, const std::string &a)
-    {
-        if (a.rfind("--backoff=", 0) == 0) {
-            u64 base = 0, shift = 0;
-            parsePair(prog, a, "--backoff=", base, shift);
-            if (base == 0)
-                knobError(prog, a, "BASE must be at least 1");
-            if (shift > 32)
-                knobError(prog, a, "SHIFT must be at most 32");
-            backoff_set = true;
-            backoff_base = base;
-            backoff_max_shift = static_cast<unsigned>(shift);
-            return true;
-        }
-        if (a.rfind("--cm=", 0) == 0) {
-            u64 polls = 0, cycles = 0;
-            parsePair(prog, a, "--cm=", polls, cycles);
-            if (cycles == 0)
-                knobError(prog, a, "CYCLES must be at least 1");
-            cm_set = true;
-            cm_polls = static_cast<unsigned>(polls);
-            cm_cycles = cycles;
-            return true;
-        }
-        return false;
-    }
-
-    /** Copy the given knobs into a RunSpec (sweep base config). */
-    void
-    applyTo(runtime::RunSpec &spec) const
-    {
-        if (backoff_set) {
-            spec.abort_backoff_base_override = backoff_base;
-            spec.abort_backoff_max_shift_override =
-                static_cast<int>(backoff_max_shift);
-        }
-        if (cm_set) {
-            spec.cm_wait_polls_override = static_cast<int>(cm_polls);
-            spec.cm_wait_cycles_override = cm_cycles;
-        }
-    }
-
-  private:
-    [[noreturn]] static void
-    knobError(const char *prog, const std::string &arg, const char *why)
-    {
-        std::cerr << (prog ? prog : "bench") << ": invalid option '"
-                  << arg << "': " << why << "\n";
-        std::exit(2);
-    }
-
-    /** Strict A:B decimal parse of the value after @p prefix. */
-    static void
-    parsePair(const char *prog, const std::string &arg,
-              const char *prefix, u64 &first_out, u64 &second_out)
-    {
-        const std::string v = arg.substr(std::strlen(prefix));
-        const auto colon = v.find(':');
-        if (colon == std::string::npos)
-            knobError(prog, arg, "expected A:B");
-        auto parseOne = [&](const std::string &s, u64 &out) {
-            const char *first = s.data();
-            const char *last = s.data() + s.size();
-            const auto [ptr, ec] = std::from_chars(first, last, out);
-            if (s.empty() || ec != std::errc() || ptr != last)
-                knobError(prog, arg,
-                          "expected an unsigned decimal integer");
-        };
-        parseOne(v.substr(0, colon), first_out);
-        parseOne(v.substr(colon + 1), second_out);
-    }
-};
-
 /** Command-line options shared by all harnesses. */
 struct BenchOptions
 {
@@ -589,8 +482,25 @@ struct BenchOptions
     std::string trace_out;
     /** Per-run trace ring capacity from --trace-buf=. */
     size_t trace_buf = 4096;
-    /** Static contention-knob starting points (--backoff=, --cm=). */
-    KnobFlags knobs;
+    /**
+     * @{ Static contention-knob starting points (README §flags). 0 in
+     * backoff_base / cm_cycles means the flag was not given; passing
+     * the defaults explicitly is bitwise identical to not passing the
+     * flag (CI-gated).
+     *
+     *   --backoff=BASE:SHIFT  post-abort randomized backoff: base window
+     *                 in cycles (>= 1) and the doubling cap as a shift
+     *                 (window <= BASE << SHIFT, SHIFT <= 32). Defaults
+     *                 16:12.
+     *   --cm=POLLS:CYCLES  wait-on-contention manager: polls of a held
+     *                 lock before aborting (0 = abort immediately) and
+     *                 the per-poll wait in cycles (>= 1). Defaults 0:64.
+     */
+    Cycles backoff_base = 0;
+    unsigned backoff_max_shift = 0;
+    unsigned cm_polls = 0;
+    Cycles cm_cycles = 0;
+    /** @} */
 
     /** Hook for harness-specific flags: return true when the argument
      * was recognised and consumed. Checked before the unknown-flag
@@ -612,6 +522,8 @@ struct BenchOptions
             o.full = std::strcmp(env, "0") != 0;
         for (int i = 1; i < argc; ++i) {
             const std::string a = argv[i];
+            // The value after the flag's '=' (all of a when it has none).
+            const std::string v = a.substr(a.find('=') + 1);
             if (a == "--full")
                 o.full = true;
             else if (a == "--quick")
@@ -619,37 +531,32 @@ struct BenchOptions
             else if (a == "--csv")
                 o.csv = true;
             else if (a.rfind("--seeds=", 0) == 0) {
-                o.seeds = parseUnsigned(argv[0], a, "--seeds=");
+                o.seeds = parseDecimal<unsigned>(argv[0], a, v);
                 if (o.seeds == 0)
                     usageError(argv[0], a, "must be at least 1");
             } else if (a.rfind("--jobs=", 0) == 0) {
-                o.jobs = parseUnsigned(argv[0], a, "--jobs=");
+                o.jobs = parseDecimal<unsigned>(argv[0], a, v);
                 if (o.jobs == 0)
                     usageError(argv[0], a, "must be at least 1");
             } else if (a.rfind("--perf-json=", 0) == 0) {
-                o.perf_json = a.substr(std::strlen("--perf-json="));
+                o.perf_json = v;
                 if (o.perf_json.empty())
                     usageError(argv[0], a, "expected a file name");
             } else if (a.rfind("--faults=", 0) == 0) {
                 try {
-                    o.faults = sim::FaultPlan::parse(
-                        a.substr(std::strlen("--faults=")));
+                    o.faults = sim::FaultPlan::parse(v);
                 } catch (const FatalError &e) {
                     usageError(argv[0], a, e.what());
                 }
             } else if (a.rfind("--watchdog-cycles=", 0) == 0) {
-                o.watchdog_cycles =
-                    parseU64(argv[0], a, "--watchdog-cycles=");
+                o.watchdog_cycles = parseDecimal<u64>(argv[0], a, v);
                 if (o.watchdog_cycles == 0)
                     usageError(argv[0], a, "must be at least 1");
             } else if (a.rfind("--serial-fallback=", 0) == 0) {
-                o.serial_fallback =
-                    parseUnsigned(argv[0], a, "--serial-fallback=");
+                o.serial_fallback = parseDecimal<unsigned>(argv[0], a, v);
                 if (o.serial_fallback == 0)
                     usageError(argv[0], a, "must be at least 1");
             } else if (a.rfind("--boosting=", 0) == 0) {
-                const std::string v =
-                    a.substr(std::strlen("--boosting="));
                 if (v == "on")
                     o.boosting = true;
                 else if (v == "off")
@@ -657,8 +564,6 @@ struct BenchOptions
                 else
                     usageError(argv[0], a, "expected on or off");
             } else if (a.rfind("--durable=", 0) == 0) {
-                const std::string v =
-                    a.substr(std::strlen("--durable="));
                 if (v == "on")
                     o.durable = true;
                 else if (v == "off")
@@ -668,16 +573,28 @@ struct BenchOptions
             } else if (a == "--trace") {
                 o.trace = true;
             } else if (a.rfind("--trace-out=", 0) == 0) {
-                o.trace_out = a.substr(std::strlen("--trace-out="));
+                o.trace_out = v;
                 if (o.trace_out.empty())
                     usageError(argv[0], a, "expected a file name");
                 o.trace = true;
             } else if (a.rfind("--trace-buf=", 0) == 0) {
-                o.trace_buf = parseU64(argv[0], a, "--trace-buf=");
+                o.trace_buf = parseDecimal<u64>(argv[0], a, v);
                 if (o.trace_buf == 0)
                     usageError(argv[0], a, "must be at least 1");
-            } else if (o.knobs.tryParse(argv[0], a)) {
-                // common contention knobs (--backoff=, --cm=)
+            } else if (a.rfind("--backoff=", 0) == 0) {
+                const auto [base, shift] = parsePair(argv[0], a, v);
+                if (base == 0)
+                    usageError(argv[0], a, "BASE must be at least 1");
+                if (shift > 32)
+                    usageError(argv[0], a, "SHIFT must be at most 32");
+                o.backoff_base = base;
+                o.backoff_max_shift = static_cast<unsigned>(shift);
+            } else if (a.rfind("--cm=", 0) == 0) {
+                const auto [polls, cycles] = parsePair(argv[0], a, v);
+                if (cycles == 0)
+                    usageError(argv[0], a, "CYCLES must be at least 1");
+                o.cm_polls = static_cast<unsigned>(polls);
+                o.cm_cycles = cycles;
             } else if (extra && extra(a)) {
                 // consumed by the harness-specific hook
             } else
@@ -696,7 +613,8 @@ struct BenchOptions
         return o;
     }
 
-    /** Copy the robustness flags into a RunSpec (sweep base config). */
+    /** Copy the robustness and contention-knob flags into a RunSpec
+     * (sweep base config). */
     void
     applyTo(runtime::RunSpec &spec) const
     {
@@ -713,7 +631,15 @@ struct BenchOptions
             spec.trace = true;
             spec.trace_buffer_capacity = trace_buf;
         }
-        knobs.applyTo(spec);
+        if (backoff_base != 0) {
+            spec.abort_backoff_base_override = backoff_base;
+            spec.abort_backoff_max_shift_override =
+                static_cast<int>(backoff_max_shift);
+        }
+        if (cm_cycles != 0) {
+            spec.cm_wait_polls_override = static_cast<int>(cm_polls);
+            spec.cm_wait_cycles_override = cm_cycles;
+        }
     }
 
   private:
@@ -726,36 +652,32 @@ struct BenchOptions
         std::exit(2);
     }
 
-    /** Strict decimal parse of the value after @p prefix. */
-    static unsigned
-    parseUnsigned(const char *prog, const std::string &arg,
-                  const char *prefix)
+    /** Strict decimal parse of @p v, the value (or one half of the
+     * A:B value) of the argument @p arg. */
+    template <typename T>
+    static T
+    parseDecimal(const char *prog, const std::string &arg,
+                 const std::string &v)
     {
-        const std::string v = arg.substr(std::strlen(prefix));
-        unsigned out = 0;
-        const char *first = v.data();
+        T out = 0;
         const char *last = v.data() + v.size();
-        const auto [ptr, ec] = std::from_chars(first, last, out);
+        const auto [ptr, ec] = std::from_chars(v.data(), last, out);
         if (v.empty() || ec != std::errc() || ptr != last)
             usageError(prog, arg,
                        "expected an unsigned decimal integer");
         return out;
     }
 
-    /** Strict 64-bit decimal parse of the value after @p prefix. */
-    static u64
-    parseU64(const char *prog, const std::string &arg,
-             const char *prefix)
+    /** Strict A:B decimal parse of @p v, the value of @p arg. */
+    static std::pair<u64, u64>
+    parsePair(const char *prog, const std::string &arg,
+              const std::string &v)
     {
-        const std::string v = arg.substr(std::strlen(prefix));
-        u64 out = 0;
-        const char *first = v.data();
-        const char *last = v.data() + v.size();
-        const auto [ptr, ec] = std::from_chars(first, last, out);
-        if (v.empty() || ec != std::errc() || ptr != last)
-            usageError(prog, arg,
-                       "expected an unsigned decimal integer");
-        return out;
+        const auto colon = v.find(':');
+        if (colon == std::string::npos)
+            usageError(prog, arg, "expected A:B");
+        return {parseDecimal<u64>(prog, arg, v.substr(0, colon)),
+                parseDecimal<u64>(prog, arg, v.substr(colon + 1))};
     }
 };
 
