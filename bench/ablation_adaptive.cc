@@ -300,9 +300,8 @@ main(int argc, char **argv)
             for (const bool adaptive : {false, true}) {
                 for (core::StmKind kind : core::allStmKinds()) {
                     for (const unsigned tasklets : tasklet_series) {
-                        runtime::RunSpec base;
+                        runtime::RunSpec base = opt.run;
                         base.mram_bytes = 8 * 1024 * 1024;
-                        opt.applyTo(base);
                         if (adaptive)
                             base.adaptive = sweepAdaptiveSpec(opt.full);
                         const auto pr = runPoint(
@@ -356,9 +355,8 @@ main(int argc, char **argv)
         // log becomes the `adaptive` perf-json block.
         {
             auto wl = cases[0].factory();
-            runtime::RunSpec spec;
+            runtime::RunSpec spec = opt.run;
             spec.mram_bytes = 8 * 1024 * 1024;
-            opt.applyTo(spec);
             spec.kind = core::StmKind::NOrec;
             spec.tasklets = 16;
             spec.seed = 1;

@@ -15,8 +15,8 @@ using namespace pimstm;
 using namespace pimstm::bench;
 using namespace pimstm::workloads;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchOptions opt = BenchOptions::parse(argc, argv);
     const u32 tx = opt.full ? 20 : 8;
@@ -30,7 +30,7 @@ main(int argc, char **argv)
           core::StmKind::NOrec}) {
         double baseline = 0;
         for (unsigned bits : {256u, 64u, 16u, 4u, 1u}) {
-            runtime::RunSpec base;
+            runtime::RunSpec base = opt.run;
             base.mram_bytes = 8 * 1024 * 1024;
             base.atomic_bits_override = bits;
             const auto pr = runPoint(
@@ -59,4 +59,10 @@ main(int argc, char **argv)
     else
         table.printText(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain([&] { return run(argc, argv); });
 }

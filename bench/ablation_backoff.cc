@@ -16,8 +16,8 @@ using namespace pimstm;
 using namespace pimstm::bench;
 using namespace pimstm::workloads;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchOptions opt = BenchOptions::parse(argc, argv);
     const u32 tx_a = opt.full ? 20 : 8;
@@ -45,11 +45,11 @@ main(int argc, char **argv)
     };
 
     for (const auto &c : cases) {
-        for (const int wait : {1, 0}) {
+        for (const bool wait : {true, false}) {
             for (unsigned t : {4u, 11u}) {
-                runtime::RunSpec base;
+                runtime::RunSpec base = opt.run;
                 base.mram_bytes = 8 * 1024 * 1024;
-                base.norec_start_wait_override = wait;
+                base.stm.norec_start_wait = wait;
                 const auto pr =
                     runPoint(c.factory, core::StmKind::NOrec,
                              core::MetadataTier::Mram, t, opt.seeds,
@@ -70,4 +70,10 @@ main(int argc, char **argv)
     else
         table.printText(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain([&] { return run(argc, argv); });
 }

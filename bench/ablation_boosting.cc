@@ -99,10 +99,9 @@ main(int argc, char **argv)
             for (const bool boosted : {false, true}) {
                 for (core::StmKind kind : core::allStmKindsExtended()) {
                     for (const unsigned tasklets : tasklet_series) {
-                        runtime::RunSpec base;
+                        runtime::RunSpec base = opt.run;
                         base.mram_bytes = 8 * 1024 * 1024;
-                        opt.applyTo(base);
-                        base.boosting = boosted;
+                        base.stm.boosting = boosted;
                         const auto pr = runPoint(
                             cases[c].factory, kind,
                             core::MetadataTier::Mram, tasklets,

@@ -15,8 +15,8 @@ using namespace pimstm;
 using namespace pimstm::bench;
 using namespace pimstm::workloads;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchOptions opt = BenchOptions::parse(argc, argv);
     const u32 tx_a = opt.full ? 20 : 8;
@@ -47,10 +47,10 @@ main(int argc, char **argv)
     for (const auto &c : cases) {
         for (core::StmKind kind :
              {core::StmKind::TinyEtlWb, core::StmKind::VrEtlWb}) {
-            for (const int polls : {0, 2, 8, 32}) {
-                runtime::RunSpec base;
+            for (const unsigned polls : {0u, 2u, 8u, 32u}) {
+                runtime::RunSpec base = opt.run;
                 base.mram_bytes = 8 * 1024 * 1024;
-                base.cm_wait_polls_override = polls;
+                base.stm.cm_wait_polls = polls;
                 const auto pr =
                     runPoint(c.factory, kind, core::MetadataTier::Mram,
                              tasklets, opt.seeds, base);
@@ -71,4 +71,10 @@ main(int argc, char **argv)
     else
         table.printText(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain([&] { return run(argc, argv); });
 }

@@ -16,8 +16,8 @@ using namespace pimstm;
 using namespace pimstm::bench;
 using namespace pimstm::workloads;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchOptions opt = BenchOptions::parse(argc, argv);
     const u32 tx = opt.full ? 20 : 8;
@@ -29,9 +29,9 @@ main(int argc, char **argv)
     for (core::StmKind kind :
          {core::StmKind::TinyEtlWb, core::StmKind::VrEtlWb}) {
         for (u32 entries : {64u, 256u, 1024u, 4096u, 16384u, 65536u}) {
-            runtime::RunSpec base;
+            runtime::RunSpec base = opt.run;
             base.mram_bytes = 8 * 1024 * 1024;
-            base.lock_table_entries_override = entries;
+            base.stm.lock_table_entries_override = entries;
             const auto pr = runPoint(
                 [&] {
                     return std::make_unique<ArrayBench>(
@@ -57,4 +57,10 @@ main(int argc, char **argv)
     else
         table.printText(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain([&] { return run(argc, argv); });
 }

@@ -5,45 +5,13 @@
  * print the throughput / abort-rate / time-breakdown series that
  * correspond to the paper's plots.
  *
- * Every bench binary accepts:
- *   --quick        smaller workloads (default when PIMSTM_FULL unset)
- *   --full         paper-scale workloads
- *   --csv          machine-readable output
- *   --seeds=N      number of seeds to average (default 3)
- *   --jobs=N       host threads for the sweep (default: PIMSTM_JOBS
- *                  env var, else all hardware threads); results are
- *                  bitwise identical for every N
- *   --perf-json=F  write a host-performance artifact (wall-clock and
- *                  simulated cycles/sec per sweep point) to F on exit;
- *                  never affects the simulated output
- *   --faults=SPEC  deterministic fault-injection plan (grammar in
- *                  docs/robustness.md); default empty = no injection
- *                  and bitwise-identical output
- *   --watchdog-cycles=N  abort with a diagnostic dump and exit code 3
- *                  when no transaction commits for N simulated cycles
- *                  (0 = off; deadlock detection is always on)
- *   --serial-fallback=K  escalate a transaction to serial-irrevocable
- *                  mode after K consecutive aborts (0 = off, the
- *                  paper's behaviour)
- *   --durable=on|off  durable transactions (docs/durability.md):
- *                  commits are persistently logged at the MRAM persist
- *                  boundary and whole-DPU crashes (`dpu-crash=` fault
- *                  plans) are recovered and the run restarted; off
- *                  (default) is bitwise identical to builds without
- *                  the subsystem
- *   --trace        record per-run transaction/scheduler traces and
- *                  export the aggregate `trace` block in --perf-json;
- *                  host-only, simulated output is bitwise unchanged
- *   --trace-out=F  stream every traced run to F in Chrome/Perfetto
- *                  JSON array format (implies --trace)
- *   --trace-buf=N  per-run trace ring capacity in records
- *                  (default 4096; aggregates are unaffected by drops)
- *
- * The full flag/env-var reference lives in README.md §"Command-line
- * flags and environment variables"; the trace format and perf-json
- * schema are specified in docs/observability.md.
- *
- * Unknown --flags are rejected with exit code 2.
+ * Every bench binary accepts the flags BenchOptions::parse reads;
+ * README.md §"Options" is their reference, and docs/observability.md
+ * specifies the trace format and the perf-json schema. The run flags
+ * (--faults, --watchdog-cycles, --serial-fallback, --durable,
+ * --boosting, --backoff, --cm, --trace, --trace-buf) parse into
+ * BenchOptions::run, the spec every harness that runs workloads starts
+ * from. Unknown --flags are rejected with exit code 2.
  */
 
 #ifndef PIMSTM_BENCH_COMMON_HH
@@ -52,6 +20,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -452,6 +421,86 @@ class TraceFileWriter
     bool registered_ = false;
 };
 
+/**
+ * @{ The flag grammar, shared by BenchOptions::parse and the harnesses'
+ * ExtraFlag hooks. @p prog is argv[0] and @p arg the whole argument,
+ * both only for the diagnostic; @p v is the value after its '='. A
+ * malformed value prints `prog: invalid option 'arg': why` and exits 2
+ * instead of running a configuration the user did not ask for.
+ */
+[[noreturn]] inline void
+usageError(const char *prog, const std::string &arg, const std::string &why)
+{
+    std::cerr << (prog ? prog : "bench") << ": invalid option '" << arg
+              << "': " << why << "\n";
+    std::exit(2);
+}
+
+/** Strict unsigned decimal integer: no sign, fraction or exponent. */
+template <typename T>
+T
+parseDecimal(const char *prog, const std::string &arg, const std::string &v)
+{
+    T out = 0;
+    const char *last = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), last, out);
+    if (v.empty() || ec != std::errc() || ptr != last)
+        usageError(prog, arg, "expected an unsigned decimal integer");
+    return out;
+}
+
+/** parseDecimal that must be at least 1. */
+template <typename T>
+T
+parsePositive(const char *prog, const std::string &arg, const std::string &v)
+{
+    const T out = parseDecimal<T>(prog, arg, v);
+    if (out == 0)
+        usageError(prog, arg, "must be at least 1");
+    return out;
+}
+
+/** Strict finite number; a decimal exponent is fine (`450e3`). */
+inline double
+parseNumber(const char *prog, const std::string &arg, const std::string &v)
+{
+    double out = 0;
+    const char *last = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), last, out);
+    if (v.empty() || ec != std::errc() || ptr != last || !std::isfinite(out))
+        usageError(prog, arg, "expected a number");
+    return out;
+}
+
+/** `on` or `off`. */
+inline bool
+parseOnOff(const char *prog, const std::string &arg, const std::string &v)
+{
+    if (v != "on" && v != "off")
+        usageError(prog, arg, "expected on or off");
+    return v == "on";
+}
+
+/** A non-empty file name. */
+inline std::string
+parseFileName(const char *prog, const std::string &arg, const std::string &v)
+{
+    if (v.empty())
+        usageError(prog, arg, "expected a file name");
+    return v;
+}
+
+/** The A and B halves of an A:B value. */
+inline std::pair<std::string, std::string>
+splitPair(const char *prog, const std::string &arg, const std::string &v)
+{
+    const auto colon = v.find(':');
+    if (colon == std::string::npos)
+        usageError(prog, arg, "expected A:B");
+    return {v.substr(0, colon), v.substr(colon + 1)};
+}
+/** @} */
+
 /** Command-line options shared by all harnesses. */
 struct BenchOptions
 {
@@ -462,222 +511,101 @@ struct BenchOptions
     unsigned jobs = 0;
     /** Perf-artifact output file; empty = disabled. */
     std::string perf_json;
-    /** Fault-injection plan from --faults= (empty = no injection). */
-    sim::FaultPlan faults;
-    /** Livelock watchdog budget from --watchdog-cycles= (0 = off). */
-    Cycles watchdog_cycles = 0;
-    /** Serial-irrevocable escalation threshold from --serial-fallback=
-     * (0 = off, preserving the paper's algorithms unmodified). */
-    unsigned serial_fallback = 0;
-    /** Route structure operations through the boosted library
-     * (--boosting=on|off; RunSpec::boosting, docs/boosting.md). */
-    bool boosting = false;
-    /** Durable transactions (--durable=on|off; RunSpec::durable,
-     * docs/durability.md): persistently logged commits plus the
-     * driver's whole-DPU crash-restart loop. */
-    bool durable = false;
-    /** Record traces (--trace, or implied by --trace-out=). */
-    bool trace = false;
     /** Perfetto trace output file from --trace-out= (empty = none). */
     std::string trace_out;
-    /** Per-run trace ring capacity from --trace-buf=. */
-    size_t trace_buf = 4096;
-    /**
-     * @{ Static contention-knob starting points (README §flags). 0 in
-     * backoff_base / cm_cycles means the flag was not given; passing
-     * the defaults explicitly is bitwise identical to not passing the
-     * flag (CI-gated).
-     *
-     *   --backoff=BASE:SHIFT  post-abort randomized backoff: base window
-     *                 in cycles (>= 1) and the doubling cap as a shift
-     *                 (window <= BASE << SHIFT, SHIFT <= 32). Defaults
-     *                 16:12.
-     *   --cm=POLLS:CYCLES  wait-on-contention manager: polls of a held
-     *                 lock before aborting (0 = abort immediately) and
-     *                 the per-poll wait in cycles (>= 1). Defaults 0:64.
-     */
-    Cycles backoff_base = 0;
-    unsigned backoff_max_shift = 0;
-    unsigned cm_polls = 0;
-    Cycles cm_cycles = 0;
-    /** @} */
+    /** The run flags, parsed straight into the spec every harness
+     * starts its runs from. Each flag's default is its field's
+     * default, so passing a default explicitly is bitwise identical to
+     * omitting the flag (CI-gated). */
+    runtime::RunSpec run;
 
     /** Hook for harness-specific flags: return true when the argument
      * was recognised and consumed. Checked before the unknown-flag
-     * rejection, so harnesses can extend the common grammar. */
+     * rejection, so harnesses can extend the common grammar with the
+     * parsers above. */
     using ExtraFlag = std::function<bool(const std::string &)>;
 
     /**
      * Parse @p argv; on a malformed or unknown flag, print a
-     * diagnostic and exit(2) instead of silently continuing with a
-     * configuration the user did not ask for. Also sizes the global
-     * util::ThreadPool from --jobs / PIMSTM_JOBS, so harnesses need no
-     * extra setup to run parallel sweeps.
+     * diagnostic and exit(2). Also sizes the global util::ThreadPool
+     * from --jobs / PIMSTM_JOBS, so harnesses need no extra setup to
+     * run parallel sweeps.
      */
     static BenchOptions
     parse(int argc, char **argv, const ExtraFlag &extra = {})
     {
         BenchOptions o;
+        core::StmConfig &stm = o.run.stm;
         if (const char *env = std::getenv("PIMSTM_FULL"))
             o.full = std::strcmp(env, "0") != 0;
+        const char *prog = argv[0];
         for (int i = 1; i < argc; ++i) {
             const std::string a = argv[i];
             // The value after the flag's '=' (all of a when it has none).
             const std::string v = a.substr(a.find('=') + 1);
+            const auto is = [&](const char *flag) {
+                return a.rfind(flag, 0) == 0;
+            };
             if (a == "--full")
                 o.full = true;
             else if (a == "--quick")
                 o.full = false;
             else if (a == "--csv")
                 o.csv = true;
-            else if (a.rfind("--seeds=", 0) == 0) {
-                o.seeds = parseDecimal<unsigned>(argv[0], a, v);
-                if (o.seeds == 0)
-                    usageError(argv[0], a, "must be at least 1");
-            } else if (a.rfind("--jobs=", 0) == 0) {
-                o.jobs = parseDecimal<unsigned>(argv[0], a, v);
-                if (o.jobs == 0)
-                    usageError(argv[0], a, "must be at least 1");
-            } else if (a.rfind("--perf-json=", 0) == 0) {
-                o.perf_json = v;
-                if (o.perf_json.empty())
-                    usageError(argv[0], a, "expected a file name");
-            } else if (a.rfind("--faults=", 0) == 0) {
+            else if (is("--seeds="))
+                o.seeds = parsePositive<unsigned>(prog, a, v);
+            else if (is("--jobs="))
+                o.jobs = parsePositive<unsigned>(prog, a, v);
+            else if (is("--perf-json="))
+                o.perf_json = parseFileName(prog, a, v);
+            else if (is("--faults=")) {
                 try {
-                    o.faults = sim::FaultPlan::parse(v);
+                    o.run.faults = sim::FaultPlan::parse(v);
                 } catch (const FatalError &e) {
-                    usageError(argv[0], a, e.what());
+                    usageError(prog, a, e.what());
                 }
-            } else if (a.rfind("--watchdog-cycles=", 0) == 0) {
-                o.watchdog_cycles = parseDecimal<u64>(argv[0], a, v);
-                if (o.watchdog_cycles == 0)
-                    usageError(argv[0], a, "must be at least 1");
-            } else if (a.rfind("--serial-fallback=", 0) == 0) {
-                o.serial_fallback = parseDecimal<unsigned>(argv[0], a, v);
-                if (o.serial_fallback == 0)
-                    usageError(argv[0], a, "must be at least 1");
-            } else if (a.rfind("--boosting=", 0) == 0) {
-                if (v == "on")
-                    o.boosting = true;
-                else if (v == "off")
-                    o.boosting = false;
-                else
-                    usageError(argv[0], a, "expected on or off");
-            } else if (a.rfind("--durable=", 0) == 0) {
-                if (v == "on")
-                    o.durable = true;
-                else if (v == "off")
-                    o.durable = false;
-                else
-                    usageError(argv[0], a, "expected on or off");
-            } else if (a == "--trace") {
-                o.trace = true;
-            } else if (a.rfind("--trace-out=", 0) == 0) {
-                o.trace_out = v;
-                if (o.trace_out.empty())
-                    usageError(argv[0], a, "expected a file name");
-                o.trace = true;
-            } else if (a.rfind("--trace-buf=", 0) == 0) {
-                o.trace_buf = parseDecimal<u64>(argv[0], a, v);
-                if (o.trace_buf == 0)
-                    usageError(argv[0], a, "must be at least 1");
-            } else if (a.rfind("--backoff=", 0) == 0) {
-                const auto [base, shift] = parsePair(argv[0], a, v);
-                if (base == 0)
-                    usageError(argv[0], a, "BASE must be at least 1");
-                if (shift > 32)
-                    usageError(argv[0], a, "SHIFT must be at most 32");
-                o.backoff_base = base;
-                o.backoff_max_shift = static_cast<unsigned>(shift);
-            } else if (a.rfind("--cm=", 0) == 0) {
-                const auto [polls, cycles] = parsePair(argv[0], a, v);
-                if (cycles == 0)
-                    usageError(argv[0], a, "CYCLES must be at least 1");
-                o.cm_polls = static_cast<unsigned>(polls);
-                o.cm_cycles = cycles;
-            } else if (extra && extra(a)) {
-                // consumed by the harness-specific hook
-            } else
-                usageError(argv[0], a, "unknown option");
+            } else if (is("--watchdog-cycles="))
+                o.run.watchdog_cycles = parsePositive<u64>(prog, a, v);
+            else if (is("--serial-fallback="))
+                stm.serial_fallback_after =
+                    parsePositive<unsigned>(prog, a, v);
+            else if (is("--boosting="))
+                stm.boosting = parseOnOff(prog, a, v);
+            else if (is("--durable="))
+                stm.durable = parseOnOff(prog, a, v);
+            else if (a == "--trace")
+                o.run.trace = true;
+            else if (is("--trace-out=")) {
+                o.trace_out = parseFileName(prog, a, v);
+                o.run.trace = true;
+            } else if (is("--trace-buf="))
+                o.run.trace_buffer_capacity =
+                    parsePositive<size_t>(prog, a, v);
+            else if (is("--backoff=")) {
+                const auto [base, shift] = splitPair(prog, a, v);
+                stm.abort_backoff_base = parsePositive<Cycles>(prog, a, base);
+                stm.abort_backoff_max_shift =
+                    parseDecimal<unsigned>(prog, a, shift);
+                if (stm.abort_backoff_max_shift > 32)
+                    usageError(prog, a, "SHIFT must be at most 32");
+            } else if (is("--cm=")) {
+                const auto [polls, cycles] = splitPair(prog, a, v);
+                stm.cm_wait_polls = parseDecimal<unsigned>(prog, a, polls);
+                stm.cm_wait_cycles = parsePositive<Cycles>(prog, a, cycles);
+            } else if (!(extra && extra(a)))
+                usageError(prog, a, "unknown option");
         }
         util::ThreadPool::setGlobalJobs(o.jobs);
         if (!o.perf_json.empty()) {
-            std::string prog = argv && argv[0] ? argv[0] : "bench";
-            const auto slash = prog.find_last_of('/');
+            std::string name = prog ? prog : "bench";
+            const auto slash = name.find_last_of('/');
             if (slash != std::string::npos)
-                prog = prog.substr(slash + 1);
-            PerfReporter::instance().enable(o.perf_json, prog);
+                name = name.substr(slash + 1);
+            PerfReporter::instance().enable(o.perf_json, name);
         }
         if (!o.trace_out.empty())
             TraceFileWriter::instance().enable(o.trace_out);
         return o;
-    }
-
-    /** Copy the robustness and contention-knob flags into a RunSpec
-     * (sweep base config). */
-    void
-    applyTo(runtime::RunSpec &spec) const
-    {
-        spec.faults = faults;
-        if (boosting)
-            spec.boosting = true;
-        if (durable)
-            spec.durable = true;
-        if (watchdog_cycles != 0)
-            spec.watchdog_cycles = watchdog_cycles;
-        if (serial_fallback != 0)
-            spec.serial_fallback_override = serial_fallback;
-        if (trace) {
-            spec.trace = true;
-            spec.trace_buffer_capacity = trace_buf;
-        }
-        if (backoff_base != 0) {
-            spec.abort_backoff_base_override = backoff_base;
-            spec.abort_backoff_max_shift_override =
-                static_cast<int>(backoff_max_shift);
-        }
-        if (cm_cycles != 0) {
-            spec.cm_wait_polls_override = static_cast<int>(cm_polls);
-            spec.cm_wait_cycles_override = cm_cycles;
-        }
-    }
-
-  private:
-    [[noreturn]] static void
-    usageError(const char *prog, const std::string &arg,
-               const char *why)
-    {
-        std::cerr << (prog ? prog : "bench") << ": invalid option '"
-                  << arg << "': " << why << "\n";
-        std::exit(2);
-    }
-
-    /** Strict decimal parse of @p v, the value (or one half of the
-     * A:B value) of the argument @p arg. */
-    template <typename T>
-    static T
-    parseDecimal(const char *prog, const std::string &arg,
-                 const std::string &v)
-    {
-        T out = 0;
-        const char *last = v.data() + v.size();
-        const auto [ptr, ec] = std::from_chars(v.data(), last, out);
-        if (v.empty() || ec != std::errc() || ptr != last)
-            usageError(prog, arg,
-                       "expected an unsigned decimal integer");
-        return out;
-    }
-
-    /** Strict A:B decimal parse of @p v, the value of @p arg. */
-    static std::pair<u64, u64>
-    parsePair(const char *prog, const std::string &arg,
-              const std::string &v)
-    {
-        const auto colon = v.find(':');
-        if (colon == std::string::npos)
-            usageError(prog, arg, "expected A:B");
-        return {parseDecimal<u64>(prog, arg, v.substr(0, colon)),
-                parseDecimal<u64>(prog, arg, v.substr(colon + 1))};
     }
 };
 
@@ -686,7 +614,10 @@ struct BenchOptions
  * WatchdogError (deadlock / livelock verdict) prints its structured
  * diagnostic dump to stderr and exits with sim::kWatchdogExitCode (3),
  * distinct from generic failure (1) and usage errors (2), so CI and
- * scripts can tell "the workload wedged" from "the harness broke".
+ * scripts can tell "the workload wedged" from "the harness broke". A
+ * FatalError (a failed gate or invariant, or a configuration the
+ * library refuses, such as durable mode with boosting) prints its
+ * message and exits 1.
  */
 inline int
 guardedMain(const std::function<int()> &body)
@@ -705,6 +636,9 @@ guardedMain(const std::function<int()> &body)
                   << "\n(run with --durable=on to recover; "
                      "docs/durability.md)\n";
         return sim::kWatchdogExitCode;
+    } catch (const FatalError &e) {
+        std::cerr << e.what() << "\n";
+        return 1;
     }
 }
 
@@ -739,7 +673,7 @@ using runtime::WorkloadFactory;
 inline PointResult
 runPoint(const WorkloadFactory &factory, core::StmKind kind,
          core::MetadataTier tier, unsigned tasklets, unsigned seeds,
-         const runtime::RunSpec &base = {})
+         const runtime::RunSpec &base)
 {
     PointResult pr;
     pr.kind = kind;
@@ -764,9 +698,9 @@ runPoint(const WorkloadFactory &factory, core::StmKind kind,
     rec.label = std::string(core::stmKindName(kind)) + "/" +
                 core::metadataTierName(tier) + "/t" +
                 std::to_string(tasklets) +
-                (base.boosting ? "/boosted" : "") +
+                (base.stm.boosting ? "/boosted" : "") +
                 (base.adaptive.enabled ? "/adaptive" : "") +
-                (base.durable ? "/durable" : "");
+                (base.stm.durable ? "/durable" : "");
     rec.wall_s = wall_s;
 
     std::vector<double> tputs, aborts, apps;
@@ -857,7 +791,7 @@ taskletSeries(bool full)
 inline std::vector<PointResult>
 sweepKinds(const std::string &title, const WorkloadFactory &factory,
            core::MetadataTier tier, const BenchOptions &opt,
-           const runtime::RunSpec &base = {})
+           const runtime::RunSpec &base)
 {
     struct SweepPoint
     {
@@ -869,13 +803,10 @@ sweepKinds(const std::string &title, const WorkloadFactory &factory,
         for (unsigned t : taskletSeries(opt.full))
             points.push_back({kind, t});
 
-    runtime::RunSpec spec_base = base;
-    opt.applyTo(spec_base);
-
     std::vector<PointResult> results(points.size());
     util::parallelFor(points.size(), [&](size_t i) {
         results[i] = runPoint(factory, points[i].kind, tier,
-                              points[i].tasklets, opt.seeds, spec_base);
+                              points[i].tasklets, opt.seeds, base);
     });
 
     Table table({"stm", "tasklets", "tput_tx_per_s", "stddev",

@@ -33,8 +33,8 @@ struct Case
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchOptions opt = BenchOptions::parse(argc, argv);
     const u32 full_tx = opt.full ? 60 : 25;
@@ -74,7 +74,7 @@ main(int argc, char **argv)
                  "adaptive_vs_oracle", "probe_cost_ms"});
 
     for (const auto &c : cases) {
-        RunSpec spec;
+        RunSpec spec = opt.run;
         spec.tasklets = 11;
         spec.mram_bytes = 8 * 1024 * 1024;
 
@@ -114,4 +114,10 @@ main(int argc, char **argv)
     else
         table.printText(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain([&] { return run(argc, argv); });
 }

@@ -22,7 +22,7 @@ run(int argc, char **argv)
     const BenchOptions opt = BenchOptions::parse(argc, argv);
     const u32 ops = opt.full ? 100 : 40;
 
-    runtime::RunSpec base;
+    runtime::RunSpec base = opt.run;
     base.mram_bytes = 8 * 1024 * 1024;
 
     sweepKinds(

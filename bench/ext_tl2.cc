@@ -20,8 +20,8 @@ using namespace pimstm;
 using namespace pimstm::bench;
 using namespace pimstm::workloads;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchOptions opt = BenchOptions::parse(argc, argv);
     const u32 tx_a = opt.full ? 30 : 10;
@@ -58,7 +58,7 @@ main(int argc, char **argv)
         for (core::StmKind kind :
              {core::StmKind::TinyCtlWb, core::StmKind::Tl2}) {
             for (unsigned t : {4u, 11u}) {
-                runtime::RunSpec base;
+                runtime::RunSpec base = opt.run;
                 base.mram_bytes = 8 * 1024 * 1024;
                 const auto pr = runPoint(c.factory, kind,
                                          core::MetadataTier::Mram, t,
@@ -82,4 +82,10 @@ main(int argc, char **argv)
     else
         table.printText(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain([&] { return run(argc, argv); });
 }

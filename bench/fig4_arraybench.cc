@@ -27,7 +27,7 @@ run(int argc, char **argv)
     const u32 tx_a = opt.full ? 30 : 8;
     const u32 tx_b = opt.full ? 400 : 100;
 
-    runtime::RunSpec base;
+    runtime::RunSpec base = opt.run;
     base.mram_bytes = 8 * 1024 * 1024;
 
     sweepKinds(

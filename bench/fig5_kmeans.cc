@@ -25,7 +25,7 @@ run(int argc, char **argv)
     const BenchOptions opt = BenchOptions::parse(argc, argv);
     const u32 points = opt.full ? 24 : 8;
 
-    runtime::RunSpec base;
+    runtime::RunSpec base = opt.run;
     base.mram_bytes = 8 * 1024 * 1024;
 
     sweepKinds(

@@ -25,7 +25,7 @@ run(int argc, char **argv)
 {
     const BenchOptions opt = BenchOptions::parse(argc, argv);
 
-    runtime::RunSpec base;
+    runtime::RunSpec base = opt.run;
     base.mram_bytes = 64 * 1024 * 1024;
 
     struct GridSpec

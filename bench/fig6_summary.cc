@@ -81,9 +81,8 @@ run(int argc, char **argv)
     const BenchOptions opt = BenchOptions::parse(argc, argv);
     const auto workloads = workloadSet(opt);
 
-    runtime::RunSpec base;
+    runtime::RunSpec base = opt.run;
     base.mram_bytes = 8 * 1024 * 1024;
-    opt.applyTo(base);
 
     // peak[workload][kind][tier]
     std::map<std::string, std::map<core::StmKind, std::map<int, double>>>

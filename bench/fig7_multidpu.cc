@@ -168,7 +168,7 @@ kvStudy(const BenchOptions &opt)
         cfg.tasklets_per_dpu = 4;
         cfg.mram_bytes = 1 << 20;
         cfg.seed = 1;
-        cfg.faults = opt.faults;
+        cfg.faults = opt.run.faults;
         DistributedKv kv(cfg);
 
         const auto wall0 = std::chrono::steady_clock::now();

@@ -29,7 +29,7 @@ run(int argc, char **argv)
     const u32 tx_b = opt.full ? 400 : 100;
     const u32 ll_ops = opt.full ? 100 : 40;
 
-    runtime::RunSpec base;
+    runtime::RunSpec base = opt.run;
     base.mram_bytes = 8 * 1024 * 1024;
 
     sweepKinds(

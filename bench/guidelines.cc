@@ -33,8 +33,8 @@ struct Cell
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchOptions opt = BenchOptions::parse(argc, argv);
     const unsigned tasklets = 11;
@@ -63,7 +63,7 @@ main(int argc, char **argv)
         double best = 0, norec = 0;
         core::StmKind best_kind = core::StmKind::NOrec;
         for (core::StmKind kind : core::allStmKinds()) {
-            runtime::RunSpec base;
+            runtime::RunSpec base = opt.run;
             base.mram_bytes = 8 * 1024 * 1024;
             const auto pr = runPoint(
                 [&] { return std::make_unique<ArrayBench>(params); },
@@ -92,4 +92,10 @@ main(int argc, char **argv)
     else
         table.printText(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain([&] { return run(argc, argv); });
 }

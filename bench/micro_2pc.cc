@@ -101,7 +101,7 @@ storeConfig(unsigned shards, const BenchOptions &opt)
     cfg.tasklets_per_dpu = 4;
     cfg.mram_bytes = 1 << 20;
     cfg.seed = 1;
-    cfg.faults = opt.faults;
+    cfg.faults = opt.run.faults;
     return cfg;
 }
 
@@ -208,7 +208,7 @@ main(int argc, char **argv)
             distributed += serial.twopc;
             distributed += twopc.twopc;
             panicIf(serial.tx_commits != twopc.tx_commits &&
-                        opt.faults.empty(),
+                        opt.run.faults.empty(),
                     "micro_2pc: modes disagree on committed moveks");
 
             const double speedup = twopc.ops_per_s / serial.ops_per_s;

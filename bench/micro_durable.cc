@@ -133,12 +133,11 @@ durabilityCost(const BenchOptions &opt)
     Table table({"stm", "commits", "tput_ratio", "fences_per_commit",
                  "log_bytes_per_commit", "extra_cycles_pct"});
     for (core::StmKind kind : core::allStmKinds()) {
-        runtime::RunSpec spec;
+        runtime::RunSpec spec = opt.run;
         spec.kind = kind;
         spec.tasklets = tasklets;
         spec.mram_bytes = 8 * 1024 * 1024;
-        opt.applyTo(spec);
-        spec.durable = false;
+        spec.stm.durable = false;
 
         TransferWorkload off_wl(params);
         runtime::RunResult off;
@@ -146,7 +145,7 @@ durabilityCost(const BenchOptions &opt)
         recordRun(std::string(core::stmKindName(kind)) + "/cost/off",
                   off_wall, off);
 
-        spec.durable = true;
+        spec.stm.durable = true;
         TransferWorkload on_wl(params);
         runtime::RunResult on;
         const double on_wall = timedRun(on_wl, spec, on);
@@ -201,12 +200,11 @@ crashMatrix(const BenchOptions &opt)
                  "undone", "discarded", "torn"});
     for (core::StmKind kind : core::allStmKinds()) {
         for (const auto &p : plans) {
-            runtime::RunSpec spec;
+            runtime::RunSpec spec = opt.run;
             spec.kind = kind;
             spec.tasklets = 8;
             spec.mram_bytes = 8 * 1024 * 1024;
-            opt.applyTo(spec);
-            spec.durable = true;
+            spec.stm.durable = true;
             spec.faults = sim::FaultPlan::parse(p.plan);
             spec.watchdog_cycles = 500'000'000; // safety net only
             // A crash-restart run floods the default ring with
@@ -334,7 +332,7 @@ checkFastPath(const BenchOptions &opt)
     plain.mram_bytes = 8 * 1024 * 1024;
 
     runtime::RunSpec durable_off = plain;
-    durable_off.durable = false; // explicit, and documents the intent
+    durable_off.stm.durable = false; // explicit, and documents the intent
 
     double best_plain = 1e300, best_off = 1e300;
     runtime::RunResult r_plain, r_off;
@@ -365,11 +363,11 @@ checkFastPath(const BenchOptions &opt)
     // guarantees must be refused at construction, not degraded.
     for (const char *what : {"serial-fallback", "boosting"}) {
         runtime::RunSpec bad = plain;
-        bad.durable = true;
+        bad.stm.durable = true;
         if (std::string(what) == "serial-fallback")
-            bad.serial_fallback_override = 4;
+            bad.stm.serial_fallback_after = 4;
         else
-            bad.boosting = true;
+            bad.stm.boosting = true;
         bool refused = false;
         try {
             ArrayBench wl(ArrayBenchParams::workloadA(2));
@@ -416,17 +414,10 @@ main(int argc, char **argv)
         });
 
     return guardedMain([&] {
-        try {
-            if (check)
-                return checkFastPath(opt);
-            durabilityCost(opt);
-            crashMatrix(opt);
-            return 0;
-        } catch (const FatalError &e) {
-            // A failed gate or invariant is a harness verdict, not a
-            // wedged workload: report it and exit 1.
-            std::cerr << e.what() << "\n";
-            return 1;
-        }
+        if (check)
+            return checkFastPath(opt);
+        durabilityCost(opt);
+        crashMatrix(opt);
+        return 0;
     });
 }

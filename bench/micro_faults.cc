@@ -125,7 +125,7 @@ abortStorm(const BenchOptions &opt)
         spec.tasklets = tasklets;
         spec.mram_bytes = 8 * 1024 * 1024;
         spec.faults = sim::FaultPlan::parse("abort=1000");
-        spec.serial_fallback_override = 4;
+        spec.stm.serial_fallback_after = 4;
         spec.watchdog_cycles = 500'000'000; // safety net only
 
         ArrayBench wl(ArrayBenchParams::workloadB(tx));
@@ -232,14 +232,14 @@ demoVrLivelock(const BenchOptions &opt)
     dpu_cfg.watchdog_cycles = 300'000;
     sim::Dpu dpu(dpu_cfg);
 
-    core::TraceBuffer trace(opt.trace_buf);
+    core::TraceBuffer trace(opt.run.trace_buffer_capacity);
 
     core::StmConfig cfg;
     cfg.kind = core::StmKind::VrEtlWb;
     cfg.num_tasklets = 2;
     cfg.abort_backoff = false; // keep the tasklets in lockstep
     cfg.data_words_hint = 16;
-    if (opt.trace) {
+    if (opt.run.trace) {
         cfg.trace = &trace;
         dpu.setTraceSink(&trace);
     }
@@ -256,7 +256,7 @@ demoVrLivelock(const BenchOptions &opt)
     try {
         dpu.run(); // throws WatchdogError (livelock)
     } catch (...) {
-        if (opt.trace && TraceFileWriter::instance().enabled())
+        if (opt.run.trace && TraceFileWriter::instance().enabled())
             TraceFileWriter::instance().add(trace, "vr-livelock");
         throw;
     }

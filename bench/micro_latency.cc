@@ -117,7 +117,7 @@ BENCHMARK(BM_StmReadWriteCost)->DenseRange(0, 6);
  * Cost of one uncontended map operation (insert+lookup+erase) through
  * the two structure-selection modes: word-based TxHashMap transactions
  * (arg 0) vs the boosted library's abstract locks + direct accesses
- * (arg 1) — the same switch RunSpec::boosting / --boosting=on flips in
+ * (arg 1) — the same switch RunSpec::stm.boosting / --boosting=on flips in
  * the sweep harnesses. Boosting trades read/write-set maintenance for
  * two stripe-word touches and a latch, so the uncontended delta is the
  * price paid for contention immunity.

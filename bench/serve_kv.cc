@@ -35,7 +35,6 @@
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 
@@ -591,9 +590,9 @@ kvBackendConfig(unsigned shards, const ServeFlags &f,
     c.kv.tasklets_per_dpu = 4;
     c.kv.mram_bytes = 1 << 20;
     c.kv.seed = 1;
-    c.kv.faults = opt.faults;
-    c.kv.boosting = opt.boosting;
-    c.kv.durable = opt.durable;
+    c.kv.faults = opt.run.faults;
+    c.kv.boosting = opt.run.stm.boosting;
+    c.kv.durable = opt.run.stm.durable;
     c.adaptive = f.adaptive;
     return c;
 }
@@ -603,7 +602,7 @@ vacBackendConfig(unsigned shards, const BenchOptions &opt)
 {
     VacationServingBackend::Config c;
     c.shards = shards;
-    c.faults = opt.faults;
+    c.faults = opt.run.faults;
     return c;
 }
 
@@ -767,107 +766,62 @@ int
 main(int argc, char **argv)
 {
     ServeFlags f;
+    const char *prog = argv[0];
     const BenchOptions opt = BenchOptions::parse(
         argc, argv, [&](const std::string &a) {
-            auto val = [&](const char *p) {
-                return a.substr(std::strlen(p));
+            const std::string v = a.substr(a.find('=') + 1);
+            const auto is = [&](const char *flag) {
+                return a.rfind(flag, 0) == 0;
             };
-            auto dbl = [&](const char *p) {
-                const std::string v = val(p);
-                char *end = nullptr;
-                const double d = std::strtod(v.c_str(), &end);
-                if (v.empty() || !end || *end != '\0') {
-                    std::cerr << argv[0] << ": invalid option '" << a
-                              << "': expected a number\n";
-                    std::exit(2);
-                }
+            // A value that must be positive (rates and budgets).
+            const auto positive = [&] {
+                const double d = parseNumber(prog, a, v);
+                if (d <= 0)
+                    usageError(prog, a, "must be positive");
                 return d;
             };
-            auto uns = [&](const char *p) {
-                const double d = dbl(p);
-                if (d < 0 || d != static_cast<double>(
-                        static_cast<unsigned>(d))) {
-                    std::cerr << argv[0] << ": invalid option '" << a
-                              << "': expected an unsigned integer\n";
-                    std::exit(2);
-                }
-                return static_cast<unsigned>(d);
-            };
-            if (a.rfind("--workload=", 0) == 0) {
-                f.workload = val("--workload=");
-                if (f.workload != "kv" && f.workload != "vacation") {
-                    std::cerr << argv[0]
-                              << ": --workload= expects kv or "
-                                 "vacation\n";
-                    std::exit(2);
-                }
-                return true;
-            }
-            if (a.rfind("--shards=", 0) == 0) {
-                f.shards = uns("--shards=");
-                return true;
-            }
-            if (a.rfind("--rate=", 0) == 0) {
-                f.rate = dbl("--rate=");
-                return true;
-            }
-            if (a.rfind("--requests=", 0) == 0) {
-                f.requests = uns("--requests=");
-                return true;
-            }
-            if (a.rfind("--arrival=", 0) == 0) {
-                f.arrival = val("--arrival=");
-                if (f.arrival != "poisson" && f.arrival != "bursty") {
-                    std::cerr << argv[0]
-                              << ": --arrival= expects poisson or "
-                                 "bursty\n";
-                    std::exit(2);
-                }
-                return true;
-            }
-            if (a.rfind("--zipf=", 0) == 0) {
-                f.zipf = dbl("--zipf=");
-                return true;
-            }
-            if (a.rfind("--batch-budget-us=", 0) == 0) {
-                f.batch_budget_us = uns("--batch-budget-us=");
-                return true;
-            }
-            if (a.rfind("--max-batch=", 0) == 0) {
-                f.max_batch = uns("--max-batch=");
-                return true;
-            }
-            if (a.rfind("--queue-cap=", 0) == 0) {
-                f.queue_cap = uns("--queue-cap=");
-                return true;
-            }
-            if (a.rfind("--slo-p99-ms=", 0) == 0) {
-                f.slo_p99_ms = dbl("--slo-p99-ms=");
-                return true;
-            }
-            if (a.rfind("--adaptive=", 0) == 0) {
-                const std::string v = val("--adaptive=");
-                if (v == "on")
-                    f.adaptive = true;
-                else if (v == "off")
-                    f.adaptive = false;
-                else {
-                    std::cerr << argv[0]
-                              << ": --adaptive= expects on or off\n";
-                    std::exit(2);
-                }
-                return true;
-            }
-            if (a == "--find-capacity") {
+            if (is("--workload=")) {
+                if (v != "kv" && v != "vacation")
+                    usageError(prog, a, "expected kv or vacation");
+                f.workload = v;
+            } else if (is("--shards="))
+                f.shards = parseDecimal<unsigned>(prog, a, v);
+            else if (is("--rate="))
+                f.rate = positive();
+            else if (is("--requests="))
+                f.requests = parseDecimal<u64>(prog, a, v);
+            else if (is("--arrival=")) {
+                if (v != "poisson" && v != "bursty")
+                    usageError(prog, a, "expected poisson or bursty");
+                f.arrival = v;
+            } else if (is("--zipf=")) {
+                f.zipf = parseNumber(prog, a, v);
+                if (f.zipf < 0 || f.zipf >= 1)
+                    usageError(prog, a, "must be in [0, 1)");
+            } else if (is("--batch-budget-us="))
+                f.batch_budget_us = parseDecimal<unsigned>(prog, a, v);
+            else if (is("--max-batch="))
+                f.max_batch = parsePositive<unsigned>(prog, a, v);
+            else if (is("--queue-cap="))
+                f.queue_cap = parsePositive<unsigned>(prog, a, v);
+            else if (is("--slo-p99-ms="))
+                f.slo_p99_ms = positive();
+            else if (is("--adaptive="))
+                f.adaptive = parseOnOff(prog, a, v);
+            else if (a == "--find-capacity")
                 f.find_capacity = true;
-                return true;
-            }
-            if (a == "--check") {
+            else if (a == "--check")
                 f.check = true;
-                return true;
-            }
-            return false;
+            else
+                return false;
+            return true;
         });
+    // Admission sheds past the queue bound, so one round's batch must
+    // fit in it (runServing panics otherwise).
+    if (f.queue_cap < f.max_batch)
+        usageError(prog, "--queue-cap=" + std::to_string(f.queue_cap),
+                   "must be at least --max-batch (" +
+                       std::to_string(f.max_batch) + ")");
 
     return guardedMain([&] {
         std::ostringstream serving_json;

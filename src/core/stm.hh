@@ -469,19 +469,17 @@ class Stm final
     unsigned heldOwnershipCount() const;
 
     /**
-     * @{ Durable-transaction surface (docs/durability.md). After an
+     * Durable-transaction recovery (docs/durability.md). After an
      * injected whole-DPU crash (sim::DpuCrashError) the host calls
-     * recoverAfterCrash before re-running the program: committed redo
-     * logs are re-applied in commit order, active undo logs are rolled
-     * back, torn records are discarded, every slot is truncated and
-     * all volatile STM bookkeeping (ownership records, descriptors,
-     * serial token) is reset. Access is raw and untimed — recovery
-     * models the host reloading the DPU, not DPU cycles. Idempotent:
-     * a second pass finds only empty slots.
+     * this before re-running the program: committed redo logs are
+     * re-applied in commit order, active undo logs are rolled back,
+     * torn records are discarded, every slot is truncated and all
+     * volatile STM bookkeeping (ownership records, descriptors, serial
+     * token) is reset. Access is raw and untimed — recovery models the
+     * host reloading the DPU, not DPU cycles. Idempotent: a second pass
+     * finds only empty slots.
      */
-    bool durable() const { return cfg_.durable; }
     RecoveryReport recoverAfterCrash();
-    /** @} */
 
   private:
     friend class StmAlgorithm;

@@ -30,37 +30,12 @@ runWorkload(Workload &workload, const RunSpec &spec)
     auto dpu_owner = DpuPool::global().acquire(dpu_cfg);
     sim::Dpu &dpu = *dpu_owner;
 
-    core::StmConfig stm_cfg;
-    stm_cfg.kind = spec.kind;
-    stm_cfg.metadata_tier = spec.tier;
-    stm_cfg.num_tasklets = spec.tasklets;
-    workload.configure(stm_cfg);
-    if (spec.lock_table_entries_override)
-        stm_cfg.lock_table_entries_override = spec.lock_table_entries_override;
-    if (spec.norec_start_wait_override >= 0)
-        stm_cfg.norec_start_wait = spec.norec_start_wait_override != 0;
-    if (spec.cm_wait_polls_override >= 0)
-        stm_cfg.cm_wait_polls =
-            static_cast<unsigned>(spec.cm_wait_polls_override);
-    if (spec.cm_wait_cycles_override)
-        stm_cfg.cm_wait_cycles = spec.cm_wait_cycles_override;
-    if (spec.abort_backoff_base_override)
-        stm_cfg.abort_backoff_base = spec.abort_backoff_base_override;
-    if (spec.abort_backoff_max_shift_override >= 0)
-        stm_cfg.abort_backoff_max_shift =
-            static_cast<unsigned>(spec.abort_backoff_max_shift_override);
-    if (spec.serial_fallback_override)
-        stm_cfg.serial_fallback_after = spec.serial_fallback_override;
-    if (spec.boosting)
-        stm_cfg.boosting = true;
-    if (spec.durable) {
-        // The adaptive controller re-plans layout and can switch the
-        // live STM kind; neither composes with a persistent log whose
-        // format is fixed at reserveMetadata time.
-        fatalIf(spec.adaptive.enabled,
-                "durable mode is incompatible with the adaptive controller");
-        stm_cfg.durable = true;
-    }
+    const bool durable = spec.stm.durable;
+    // The adaptive controller re-plans layout and can switch the live
+    // STM kind; neither composes with a persistent log whose format is
+    // fixed at reserveMetadata time.
+    fatalIf(durable && spec.adaptive.enabled,
+            "durable mode is incompatible with the adaptive controller");
 
     // Observability (host-only; docs/observability.md). The buffer is
     // shared with the RunResult; the Dpu and StmConfig only borrow it,
@@ -69,7 +44,6 @@ runWorkload(Workload &workload, const RunSpec &spec)
     if (spec.trace) {
         trace_buf =
             std::make_shared<core::TraceBuffer>(spec.trace_buffer_capacity);
-        stm_cfg.trace = trace_buf.get();
         dpu.setTraceSink(trace_buf.get());
     }
 
@@ -78,8 +52,15 @@ runWorkload(Workload &workload, const RunSpec &spec)
     // gated on the controller actually being enabled — controller-off
     // builds the single-kind STM, bitwise identical (CI-gated).
     const bool adaptive_on = spec.adaptive.enabled;
-    if (adaptive_on)
-        stm_cfg.hot_lock_capacity = spec.adaptive.hot_lock_capacity;
+
+    core::StmConfig stm_cfg = spec.stm;
+    stm_cfg.kind = spec.kind;
+    stm_cfg.metadata_tier = spec.tier;
+    stm_cfg.num_tasklets = spec.tasklets;
+    stm_cfg.trace = trace_buf.get();
+    stm_cfg.hot_lock_capacity =
+        adaptive_on ? spec.adaptive.hot_lock_capacity : 0;
+    workload.configure(stm_cfg);
 
     // May throw FatalError when the placement is infeasible — that is
     // the paper's "cannot run with WRAM metadata" case.
@@ -95,7 +76,7 @@ runWorkload(Workload &workload, const RunSpec &spec)
     // initial image is durable by construction. Fence the persist
     // boundary here so an early crash cannot tear data the tasklets
     // never wrote.
-    if (spec.durable)
+    if (durable)
         dpu.mram().fence();
 
     core::Stm *stm_ptr = stm.get();
@@ -125,7 +106,7 @@ runWorkload(Workload &workload, const RunSpec &spec)
             dpu.run();
             break;
         } catch (const sim::DpuCrashError &) {
-            if (!spec.durable)
+            if (!durable)
                 throw;
             fatalIf(restarts >= spec.max_restarts,
                     "DPU crash-restart budget exhausted (max_restarts=",

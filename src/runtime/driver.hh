@@ -122,39 +122,26 @@ struct RunSpec
     /** Livelock watchdog budget in cycles (0 = off). */
     Cycles watchdog_cycles = 0;
 
-    /** Overrides applied to the workload-configured StmConfig
-     * (0 = keep workload/default value). */
-    u32 lock_table_entries_override = 0;
-    int norec_start_wait_override = -1; // -1 keep, 0 off, 1 on
-    unsigned atomic_bits_override = 0;  // 0 keep hardware 256
-    /** Wait-on-contention polls (-1 keep workload/default). */
-    int cm_wait_polls_override = -1;
-    /** Per-poll contention wait (0 = keep workload/default). */
-    Cycles cm_wait_cycles_override = 0;
-    /** Post-abort backoff base (0 = keep workload/default). */
-    Cycles abort_backoff_base_override = 0;
-    /** Backoff max shift (-1 = keep workload/default). */
-    int abort_backoff_max_shift_override = -1;
-    /** Serial-irrevocable fallback threshold (0 = keep workload/default,
-     * i.e. off — StmConfig::serial_fallback_after). */
-    unsigned serial_fallback_override = 0;
+    /** Usable atomic-register bits (0 = the hardware's 256). */
+    unsigned atomic_bits_override = 0;
 
-    /** Durable transactions (StmConfig::durable, docs/durability.md):
-     * every commit is made crash-atomic through a per-tasklet MRAM
-     * redo/undo log and explicit persist fences. Also arms the driver's
-     * crash-restart loop: a whole-DPU crash (`dpu-crash=` fault plan)
-     * is recovered and the run continues instead of failing. Off =
-     * bitwise identical to a build without the subsystem (CI-gated). */
-    bool durable = false;
+    /**
+     * The STM knobs of the run: backoff, contention manager, lock-table
+     * size, NOrec start wait, serial fallback, boosting
+     * (docs/boosting.md) and durable mode (docs/durability.md; it also
+     * arms the driver's crash-restart loop, so a whole-DPU crash from a
+     * `dpu-crash=` fault plan is recovered and the run continues).
+     * runWorkload starts the run's StmConfig from this one, except for
+     * the fields it owns: `kind`, `metadata_tier` and `num_tasklets`
+     * come from the fields above, `trace` from the run's own buffer and
+     * `hot_lock_capacity` from `adaptive` (0 when the controller is
+     * off). Workload::configure then sets `max_read_set`,
+     * `max_write_set` and `data_words_hint`.
+     */
+    core::StmConfig stm;
 
     /** Whole-DPU crash restarts tolerated per run (durable mode). */
     unsigned max_restarts = 16;
-
-    /** Route structure operations through the boosted library
-     * (StmConfig::boosting; docs/boosting.md). Workloads that have no
-     * boosted path ignore it. Off = bitwise-identical to a build
-     * without the boosting subsystem (CI-gated). */
-    bool boosting = false;
 
     /** Record a transaction/scheduler trace (docs/observability.md).
      * Host-only: a traced run is bitwise identical to an untraced one. */

@@ -469,7 +469,7 @@ TEST(AdaptiveSwitch, SerialFallbackRejectedWithKindSwitching)
     spec.adaptive.enabled = true;
     spec.adaptive.kind_candidates = {core::StmKind::NOrec,
                                      core::StmKind::TinyEtlWb};
-    spec.serial_fallback_override = 4;
+    spec.stm.serial_fallback_after = 4;
     EXPECT_THROW(runB(spec, 10), FatalError);
 }
 

@@ -521,7 +521,7 @@ TEST_P(BoostedWorkloadsAll, SkipListInvariantsHoldBoosted)
     s.tasklets = 6;
     s.seed = 17;
     s.mram_bytes = 8 * 1024 * 1024;
-    s.boosting = true;
+    s.stm.boosting = true;
     const auto r = runWorkload(wl, s); // verify() checks the structure
     EXPECT_EQ(r.stm.commits, 6u * 25u);
     EXPECT_GT(r.stm.boosted_acquires, 0u);
@@ -537,7 +537,7 @@ TEST_P(BoostedWorkloadsAll, SkipListSurvivesFaultPlanBoosted)
     s.tasklets = 4;
     s.seed = 29;
     s.mram_bytes = 8 * 1024 * 1024;
-    s.boosting = true;
+    s.stm.boosting = true;
     s.faults = FaultPlan::parse("seed=3;abort=200;acq-delay=60:200");
     runWorkload(wl, s); // verify() must still pass
 }
@@ -552,7 +552,7 @@ TEST_P(BoostedWorkloadsAll, VacationAccountingHoldsBoosted)
     s.tasklets = 6;
     s.seed = 41;
     s.mram_bytes = 8 * 1024 * 1024;
-    s.boosting = true;
+    s.stm.boosting = true;
     const auto r = runWorkload(wl, s); // verify() checks accounting
     EXPECT_EQ(r.stm.commits, 6u * 20u);
 }
@@ -580,7 +580,7 @@ TEST(BoostedOff, WordBasedRunsUnchangedWithBoostingFlagOff)
     workloads::SkipList a(p);
     const auto base = runWorkload(a, s);
     RunSpec s_off = s;
-    s_off.boosting = false; // explicit off == default
+    s_off.stm.boosting = false; // explicit off == default
     workloads::SkipList b(p);
     const auto off = runWorkload(b, s_off);
     EXPECT_EQ(base.stm.commits, off.stm.commits);

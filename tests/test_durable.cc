@@ -383,7 +383,7 @@ TEST(DurableConfig, ExclusionsAreRefused)
         spec.kind = StmKind::NOrec;
         spec.tasklets = 2;
         spec.mram_bytes = 1 << 20;
-        spec.durable = true;
+        spec.stm.durable = true;
         spec.adaptive.enabled = true;
         workloads::ArrayBench wl(
             workloads::ArrayBenchParams::workloadB(2));
@@ -463,7 +463,7 @@ TEST(DurableDriver, CrashRestartLoopCompletesRuns)
         spec.kind = kind;
         spec.tasklets = 4;
         spec.mram_bytes = 8 * 1024 * 1024;
-        spec.durable = true;
+        spec.stm.durable = true;
         spec.faults = FaultPlan::parse("dpu-crash=120;dpu-crash=420");
 
         TransferWl wl;

@@ -261,7 +261,7 @@ TEST_P(FaultInjectionPerKind, SerialFallbackTerminatesTotalAbortStorm)
     // Every injectable operation of every optimistic attempt aborts;
     // only the serial-irrevocable fallback can make progress.
     spec.faults = FaultPlan::parse("abort=1000");
-    spec.serial_fallback_override = 3;
+    spec.stm.serial_fallback_after = 3;
     spec.watchdog_cycles = 500'000'000; // safety net: fail, not hang
 
     constexpr u32 kTx = 15;

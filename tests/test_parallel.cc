@@ -407,7 +407,7 @@ TEST(Determinism, InfeasiblePointReportedIdentically)
         s.kind = core::StmKind::VrEtlWb;
         s.tasklets = 24;
         // Force the lock table far past 64 KB of WRAM.
-        s.lock_table_entries_override = 64 * 1024;
+        s.stm.lock_table_entries_override = 64 * 1024;
     }
 
     util::ThreadPool::setGlobalJobs(1);

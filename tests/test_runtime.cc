@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the runtime layer: SharedArray32 views, the transactional
- * work queue, stats reporting helpers, and workload parameter/unit
- * logic (ArrayBench paper constants, Labyrinth geometry, KMeans
- * configuration).
+ * work queue, the driver's StmConfig assembly, stats reporting
+ * helpers, and workload parameter/unit logic (ArrayBench paper
+ * constants, Labyrinth geometry, KMeans configuration).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "core/stats_report.hh"
 #include "core/stm.hh"
+#include "runtime/driver.hh"
 #include "runtime/shared_array.hh"
 #include "runtime/tx_queue.hh"
 #include "workloads/arraybench.hh"
@@ -113,6 +114,110 @@ TEST(TxQueueTest, DrainedQueueReturnsMinusOne)
     EXPECT_EQ(seen[1], 1);
     EXPECT_EQ(seen[2], -1);
     EXPECT_EQ(seen[3], -1);
+}
+
+namespace
+{
+
+/** Captures the StmConfig its STM was built with; runs no transaction. */
+class ConfigProbe : public Workload
+{
+  public:
+    const char *name() const override { return "ConfigProbe"; }
+
+    void
+    configure(core::StmConfig &cfg) const override
+    {
+        cfg.max_read_set = 40;
+        cfg.max_write_set = 20;
+        cfg.data_words_hint = 300;
+    }
+
+    void setup(Dpu &, core::Stm &stm) override { seen = stm.config(); }
+    void tasklet(DpuContext &, core::Stm &) override {}
+    void verify(Dpu &, core::Stm &) override {}
+
+    core::StmConfig seen;
+};
+
+/** Run @p spec and check the STM's config field by field. */
+void
+expectSpecReachesStm(const RunSpec &spec)
+{
+    ConfigProbe wl;
+    const RunResult r = runWorkload(wl, spec);
+    const core::StmConfig &got = wl.seen;
+    const core::StmConfig &want = spec.stm;
+    // Owned by the driver.
+    EXPECT_EQ(got.kind, spec.kind);
+    EXPECT_EQ(got.metadata_tier, spec.tier);
+    EXPECT_EQ(got.num_tasklets, spec.tasklets);
+    EXPECT_EQ(got.trace, r.trace.get());
+    EXPECT_EQ(got.hot_lock_capacity,
+              spec.adaptive.enabled ? spec.adaptive.hot_lock_capacity : 0);
+    // Owned by the workload.
+    EXPECT_EQ(got.max_read_set, 40u);
+    EXPECT_EQ(got.max_write_set, 20u);
+    EXPECT_EQ(got.data_words_hint, 300u);
+    // Everything else comes from the spec unchanged.
+    EXPECT_EQ(got.lock_table_entries_override,
+              want.lock_table_entries_override);
+    EXPECT_EQ(got.allow_lock_table_spill, want.allow_lock_table_spill);
+    EXPECT_EQ(got.norec_start_wait, want.norec_start_wait);
+    EXPECT_EQ(got.abort_backoff, want.abort_backoff);
+    EXPECT_EQ(got.abort_backoff_base, want.abort_backoff_base);
+    EXPECT_EQ(got.abort_backoff_max_shift, want.abort_backoff_max_shift);
+    EXPECT_EQ(got.serial_fallback_after, want.serial_fallback_after);
+    EXPECT_EQ(got.cm_wait_polls, want.cm_wait_polls);
+    EXPECT_EQ(got.cm_wait_cycles, want.cm_wait_cycles);
+    EXPECT_EQ(got.boosting, want.boosting);
+    EXPECT_EQ(got.durable, want.durable);
+}
+
+} // namespace
+
+/** The driver copies RunSpec::stm into the run's StmConfig and drops
+ * nothing. Every knob is off its default in one of the two runs;
+ * durable mode refuses serial fallback and boosting, so it gets the
+ * second run. */
+TEST(RunWorkload, SpecStmReachesTheStm)
+{
+    core::TraceBuffer foreign(16);
+    RunSpec spec;
+    spec.kind = core::StmKind::TinyCtlWb;
+    spec.tier = core::MetadataTier::Wram;
+    spec.tasklets = 3;
+    spec.mram_bytes = 1 << 20;
+    // Fields the driver or the workload own: these values must lose.
+    spec.stm.kind = core::StmKind::VrEtlWt;
+    spec.stm.metadata_tier = core::MetadataTier::Mram;
+    spec.stm.num_tasklets = 9;
+    spec.stm.trace = &foreign;
+    spec.stm.hot_lock_capacity = 7;
+    spec.stm.max_read_set = 1;
+    spec.stm.max_write_set = 1;
+    spec.stm.data_words_hint = 1;
+    // The knobs.
+    spec.stm.lock_table_entries_override = 512;
+    spec.stm.allow_lock_table_spill = false;
+    spec.stm.norec_start_wait = false;
+    spec.stm.abort_backoff = false;
+    spec.stm.abort_backoff_base = 5;
+    spec.stm.abort_backoff_max_shift = 3;
+    spec.stm.cm_wait_polls = 4;
+    spec.stm.cm_wait_cycles = 9;
+
+    RunSpec volatile_run = spec;
+    volatile_run.stm.serial_fallback_after = 6;
+    volatile_run.stm.boosting = true;
+    volatile_run.adaptive.enabled = true;
+    volatile_run.adaptive.hot_lock_capacity = 5;
+    expectSpecReachesStm(volatile_run);
+
+    RunSpec durable_run = spec;
+    durable_run.stm.durable = true;
+    durable_run.trace = true;
+    expectSpecReachesStm(durable_run);
 }
 
 TEST(StatsReport, FormatsRatesAndDurations)
