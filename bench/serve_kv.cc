@@ -320,23 +320,14 @@ class VacationServingBackend : public runtime::ServingBackend
         // result lands in its own slot so output is identical for any
         // --jobs value (same discipline as DistributedKv::runLaunch).
         util::parallelFor(involved.size(), [&](size_t ii) {
-            const unsigned s = involved[ii];
-            Shard &sh = shards_[s];
-            const auto &reqs = batches[s];
-            sh.dpu->resetRun(/*reset_faults=*/false);
-            const unsigned tasklets = static_cast<unsigned>(
-                std::min<size_t>(cfg_.tasklets, reqs.size()));
-            for (unsigned t = 0; t < tasklets; ++t) {
-                sh.dpu->addTasklet(
-                    [this, &sh, &reqs, t, tasklets](
-                        sim::DpuContext &ctx) {
-                        for (size_t i = t; i < reqs.size();
-                             i += tasklets)
-                            runRequest(sh, ctx, reqs[i]);
-                    });
-            }
-            sh.dpu->run();
-            runs[ii] = sh.dpu->stats();
+            Shard &sh = shards_[involved[ii]];
+            const auto &reqs = batches[involved[ii]];
+            runtime::launch(
+                *sh.dpu, *sh.stm, cfg_.tasklets, reqs.size(),
+                [&](sim::DpuContext &ctx, size_t i) {
+                    runRequest(sh, ctx, reqs[i]);
+                },
+                [&](const sim::Dpu &dpu) { runs[ii] += dpu.stats(); });
         });
 
         double worst = 0.0;

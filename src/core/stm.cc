@@ -274,8 +274,9 @@ Stm::reserveMetadata()
     const Tier meta_tier = toSimTier(cfg_.metadata_tier);
     auto &meta_mem = dpu_.memory(meta_tier);
     if (!meta_mem.canAlloc(sets_bytes)) {
-        fatal("STM metadata (", sets_bytes, " bytes of read/write sets) ",
-              "does not fit in ", sim::tierName(meta_tier));
+        fatalPlacement("STM metadata (", sets_bytes,
+                       " bytes of read/write sets) does not fit in ",
+                       sim::tierName(meta_tier));
     }
     meta_mem.alloc(sets_bytes);
 
@@ -298,8 +299,9 @@ Stm::reserveMetadata()
             dpu_.mram().canAlloc(table_bytes)) {
             table_tier = Tier::Mram;
         } else {
-            fatal("ORec lock table (", table_bytes, " bytes) does not fit ",
-                  "in ", sim::tierName(table_tier));
+            fatalPlacement("ORec lock table (", table_bytes,
+                           " bytes) does not fit in ",
+                           sim::tierName(table_tier));
         }
     }
     dpu_.memory(table_tier).alloc(table_bytes);

@@ -1,5 +1,6 @@
 #include "hostapp/block_executor.hh"
 
+#include "runtime/driver.hh"
 #include "util/logging.hh"
 
 namespace pimstm::hostapp
@@ -34,33 +35,29 @@ BlockExecutor::~BlockExecutor() = default;
 BlockResult
 BlockExecutor::run(u32 num_txs, const BlockBody &body, bool ordered)
 {
-    dpu_->resetRun();
     turn_.poke(*dpu_, 0, 0);
     const u64 commits_before = stm_->stats().commits;
     const u64 aborts_before = stm_->stats().aborts;
 
-    const unsigned tasklets =
-        std::min<unsigned>(cfg_.tasklets, std::max<u32>(num_txs, 1));
-    for (unsigned t = 0; t < tasklets; ++t) {
-        dpu_->addTasklet([this, t, tasklets, num_txs, &body,
-                          ordered](sim::DpuContext &ctx) {
-            for (u32 i = t; i < num_txs; i += tasklets) {
-                core::atomically(*stm_, ctx, [&](core::TxHandle &tx) {
-                    // Speculative execution of the body...
-                    body(tx, i);
-                    if (!ordered)
-                        return;
-                    // ...then the turn gate: commit only when every
-                    // lower-index transaction has committed. A retry
-                    // here re-runs the body against fresh state.
-                    if (tx.read(turn_.at(0)) != i)
-                        tx.retry();
-                    tx.write(turn_.at(0), i + 1);
-                });
-            }
-        });
-    }
-    dpu_->run();
+    Cycles cycles = 0;
+    runtime::launch(
+        *dpu_, *stm_, cfg_.tasklets, num_txs,
+        [&](sim::DpuContext &ctx, size_t item) {
+            const u32 i = static_cast<u32>(item);
+            core::atomically(*stm_, ctx, [&](core::TxHandle &tx) {
+                // Speculative execution of the body...
+                body(tx, i);
+                if (!ordered)
+                    return;
+                // ...then the turn gate: commit only when every
+                // lower-index transaction has committed. A retry here
+                // re-runs the body against fresh state.
+                if (tx.read(turn_.at(0)) != i)
+                    tx.retry();
+                tx.write(turn_.at(0), i + 1);
+            });
+        },
+        [&](const sim::Dpu &dpu) { cycles += dpu.stats().total_cycles; });
 
     if (ordered) {
         panicIf(turn_.peek(*dpu_, 0) != num_txs,
@@ -68,7 +65,7 @@ BlockExecutor::run(u32 num_txs, const BlockBody &body, bool ordered)
     }
 
     BlockResult r;
-    r.seconds = sim::cyclesToSeconds(dpu_->stats().total_cycles);
+    r.seconds = sim::cyclesToSeconds(cycles);
     r.commits = stm_->stats().commits - commits_before;
     r.aborts = stm_->stats().aborts - aborts_before;
     const u64 total = r.commits + r.aborts;

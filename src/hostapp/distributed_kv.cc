@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "runtime/driver.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -458,59 +459,26 @@ DistributedKv::runLaunch(std::vector<std::vector<WorkItem>> &work,
                          it.kind == WorkItem::Kind::PrepareSrc ||
                          it.kind == WorkItem::Kind::PrepareDst;
 
-        // Keep fault-injection op counts across the batch's launches so
-        // a crash point fires once per batch, not once per round.
-        shard.dpu->resetRun(/*reset_faults=*/false);
-
-        // Round-robin slices: tasklet t handles items[t], [t+T], ...
-        // Items already Done are skipped — that makes the bodies
-        // re-registrable after a recovered whole-DPU crash, where
-        // finished outcomes are host state and survive.
-        const unsigned tasklets = static_cast<unsigned>(
-            std::min<size_t>(cfg_.tasklets_per_dpu, items.size()));
-        const auto add_bodies = [&] {
-            for (unsigned t = 0; t < tasklets; ++t) {
-                shard.dpu->addTasklet([this, &shard, &items, &outs, t,
-                                       tasklets,
-                                       check_pins](sim::DpuContext &ctx) {
-                    for (size_t i = t; i < items.size(); i += tasklets)
-                        if (outs[i].status == Outcome::Status::NotRun)
-                            runItem(shard, ctx, items[i], outs[i],
-                                    check_pins);
-                });
-            }
-        };
-        const auto charge_round = [&] {
-            const auto &st = shard.dpu->stats();
-            shard.dpu_stats += st;
-            const double secs = sim::cyclesToSeconds(st.total_cycles);
-            shard.busy_seconds += secs;
-            runs[ii].seconds += secs;
-            for (const auto &f : shard.dpu->taskletFaults())
-                if (f.injected_crash)
-                    ++runs[ii].crashes;
-        };
-        add_bodies();
-        for (;;) {
-            try {
-                shard.dpu->run();
-                charge_round();
-                break;
-            } catch (const sim::DpuCrashError &) {
-                // Whole-DPU shard crash. Without durable shards the
-                // store is gone — propagate. With them, recover the
-                // shard from its durable log and re-run the launch's
-                // unfinished items (dpu-crash points are one-shot per
-                // DPU lifetime, so this terminates).
-                if (!cfg_.durable)
-                    throw;
-                charge_round();
-                ++runs[ii].dpu_crashes;
-                shard.dpu->resetRun(/*reset_faults=*/false);
-                shard.stm->recoverAfterCrash();
-                add_bodies();
-            }
-        }
+        // Items already Done skip themselves: after a recovered
+        // whole-DPU crash the launch deals every item again, and
+        // finished outcomes are host state that survives.
+        runtime::launch(
+            *shard.dpu, *shard.stm, cfg_.tasklets_per_dpu, items.size(),
+            [&](sim::DpuContext &ctx, size_t i) {
+                if (outs[i].status == Outcome::Status::NotRun)
+                    runItem(shard, ctx, items[i], outs[i], check_pins);
+            },
+            [&](const sim::Dpu &dpu) {
+                const auto &st = dpu.stats();
+                shard.dpu_stats += st;
+                const double secs = sim::cyclesToSeconds(st.total_cycles);
+                shard.busy_seconds += secs;
+                runs[ii].seconds += secs;
+                runs[ii].dpu_crashes += st.dpu_crashes;
+                for (const auto &f : dpu.taskletFaults())
+                    if (f.injected_crash)
+                        ++runs[ii].crashes;
+            });
     });
 
     double worst = 0.0;

@@ -1,5 +1,7 @@
 #include "runtime/driver.hh"
 
+#include <algorithm>
+
 #include "runtime/adaptive.hh"
 #include "runtime/dpu_pool.hh"
 #include "util/host_alloc.hh"
@@ -8,6 +10,50 @@
 
 namespace pimstm::runtime
 {
+
+void
+launch(sim::Dpu &dpu, core::Stm &stm, unsigned tasklets, size_t items,
+       const std::function<void(sim::DpuContext &, size_t)> &item,
+       const std::function<void(const sim::Dpu &)> &on_round)
+{
+    // Tasklet t runs items t, t + stride, ...; an empty launch still
+    // starts one idle tasklet. Each body captures a pointer and its
+    // index, which std::function stores without a heap allocation.
+    struct Deal
+    {
+        const std::function<void(sim::DpuContext &, size_t)> &item;
+        size_t items;
+        size_t stride;
+    };
+    const Deal deal{item, items,
+                    std::max<size_t>(1, std::min<size_t>(tasklets, items))};
+    const auto add_tasklets = [&] {
+        for (size_t t = 0; t < deal.stride; ++t) {
+            dpu.addTasklet([d = &deal, t](sim::DpuContext &ctx) {
+                for (size_t i = t; i < d->items; i += d->stride)
+                    d->item(ctx, i);
+            });
+        }
+    };
+    dpu.resetRun(/*reset_faults=*/false);
+    add_tasklets();
+    for (;;) {
+        try {
+            dpu.run();
+            on_round(dpu);
+            return;
+        } catch (const sim::DpuCrashError &) {
+            // A whole-DPU crash wipes WRAM and tears unfenced MRAM
+            // lines; only a durable STM can rebuild its state.
+            if (!stm.config().durable)
+                throw;
+            on_round(dpu);
+            dpu.resetRun(/*reset_faults=*/false);
+            stm.recoverAfterCrash();
+            add_tasklets();
+        }
+    }
+}
 
 RunResult
 runWorkload(Workload &workload, const RunSpec &spec)
@@ -62,7 +108,7 @@ runWorkload(Workload &workload, const RunSpec &spec)
         adaptive_on ? spec.adaptive.hot_lock_capacity : 0;
     workload.configure(stm_cfg);
 
-    // May throw FatalError when the placement is infeasible — that is
+    // May throw PlacementError when the metadata does not fit — that is
     // the paper's "cannot run with WRAM metadata" case.
     auto stm = std::make_unique<core::Stm>(
         dpu, stm_cfg,
@@ -79,12 +125,6 @@ runWorkload(Workload &workload, const RunSpec &spec)
     if (durable)
         dpu.mram().fence();
 
-    core::Stm *stm_ptr = stm.get();
-    Workload *wl = &workload;
-    dpu.addTasklets(spec.tasklets, [wl, stm_ptr](sim::DpuContext &ctx) {
-        wl->tasklet(ctx, *stm_ptr);
-    });
-
     std::unique_ptr<AdaptiveController> controller;
     if (adaptive_on) {
         controller =
@@ -93,44 +133,20 @@ runWorkload(Workload &workload, const RunSpec &spec)
                          [&controller] { controller->onEpoch(); });
     }
 
-    // Durable mode's crash-restart loop (docs/durability.md): a
-    // whole-DPU crash destroys WRAM and tears unflushed MRAM lines.
-    // Recover the STM from its durable log, re-register the tasklets
-    // (they restart their bodies from scratch, like a real relaunch)
-    // and run again, carrying statistics across rounds. Without
-    // durable mode the crash propagates to the caller.
-    sim::DpuStats crashed_rounds;
-    unsigned restarts = 0;
-    for (;;) {
-        try {
-            dpu.run();
-            break;
-        } catch (const sim::DpuCrashError &) {
-            if (!durable)
-                throw;
-            fatalIf(restarts >= spec.max_restarts,
-                    "DPU crash-restart budget exhausted (max_restarts=",
-                    spec.max_restarts, ")");
-            ++restarts;
-            crashed_rounds += dpu.stats();
-            dpu.resetRun(/*reset_faults=*/false);
-            stm_ptr->recoverAfterCrash();
-            dpu.addTasklets(spec.tasklets,
-                            [wl, stm_ptr](sim::DpuContext &ctx) {
-                                wl->tasklet(ctx, *stm_ptr);
-                            });
-        }
-    }
+    // Every tasklet runs the workload's body once; the DPU stats of a
+    // durable run sum every round, crashed ones included.
+    RunResult r;
+    launch(
+        dpu, *stm, spec.tasklets, spec.tasklets,
+        [&](sim::DpuContext &ctx, size_t) { workload.tasklet(ctx, *stm); },
+        [&](const sim::Dpu &d) { r.dpu += d.stats(); });
     if (adaptive_on)
         dpu.setEpochHook(0, nullptr); // borrowed, like the trace sink
     workload.verify(dpu, *stm);
 
-    RunResult r;
     r.stm = stm->stats();
     if (controller)
         r.adaptive = controller->report();
-    r.dpu = dpu.stats();
-    r.dpu += crashed_rounds; // rounds ended by a recovered DPU crash
     r.seconds = sim::cyclesToSeconds(r.dpu.total_cycles);
     r.throughput =
         r.seconds > 0 ? static_cast<double>(r.stm.commits) / r.seconds : 0;
@@ -171,7 +187,7 @@ runWorkloadMany(const WorkloadFactory &factory,
         try {
             outcomes[i].result = runWorkload(*wl, specs[i]);
             outcomes[i].ok = true;
-        } catch (const FatalError &e) {
+        } catch (const PlacementError &e) {
             outcomes[i].ok = false;
             outcomes[i].error = e.what();
         }

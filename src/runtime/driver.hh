@@ -128,9 +128,9 @@ struct RunSpec
     /**
      * The STM knobs of the run: backoff, contention manager, lock-table
      * size, NOrec start wait, serial fallback, boosting
-     * (docs/boosting.md) and durable mode (docs/durability.md; it also
-     * arms the driver's crash-restart loop, so a whole-DPU crash from a
-     * `dpu-crash=` fault plan is recovered and the run continues).
+     * (docs/boosting.md) and durable mode (docs/durability.md; launch()
+     * then recovers every whole-DPU crash a `dpu-crash=` fault plan
+     * delivers, and the run continues).
      * runWorkload starts the run's StmConfig from this one, except for
      * the fields it owns: `kind`, `metadata_tier` and `num_tasklets`
      * come from the fields above, `trace` from the run's own buffer and
@@ -139,9 +139,6 @@ struct RunSpec
      * `max_write_set` and `data_words_hint`.
      */
     core::StmConfig stm;
-
-    /** Whole-DPU crash restarts tolerated per run (durable mode). */
-    unsigned max_restarts = 16;
 
     /** Record a transaction/scheduler trace (docs/observability.md).
      * Host-only: a traced run is bitwise identical to an untraced one. */
@@ -187,9 +184,33 @@ struct RunResult
 };
 
 /**
- * Run @p workload under @p spec. Throws FatalError when the
- * configuration is infeasible (e.g. WRAM metadata that does not fit) —
- * sweep harnesses catch this to mark the point "not runnable".
+ * One DPU launch: the host starts the program and waits for every
+ * tasklet (PIM-STM §3.1). Resets @p dpu for a new run, keeping the
+ * fault injector's op counts, and deals item i to tasklet i mod
+ * min(@p tasklets, @p items); each tasklet runs its items in
+ * ascending order through @p item. After every round, @p on_round
+ * gets the DPU, so the caller can fold in the round's stats and
+ * faults.
+ *
+ * A whole-DPU crash (sim::DpuCrashError) ends a round. On a durable
+ * @p stm, launch recovers it (docs/durability.md): the round goes to
+ * @p on_round, Stm::recoverAfterCrash runs, the same items are dealt
+ * again and the DPU runs on. An item whose outcome is host state may
+ * skip itself on the re-run. Each `dpu-crash=` point fires once per
+ * DPU lifetime, so the loop needs no budget. On a non-durable @p stm
+ * the crash propagates.
+ */
+void launch(sim::Dpu &dpu, core::Stm &stm, unsigned tasklets, size_t items,
+            const std::function<void(sim::DpuContext &, size_t)> &item,
+            const std::function<void(const sim::Dpu &)> &on_round);
+
+/**
+ * Run @p workload under @p spec: one launch() of spec.tasklets copies
+ * of Workload::tasklet. Throws PlacementError when the STM
+ * metadata or the workload's data does not fit in simulated memory —
+ * sweep harnesses catch this to mark the point "not runnable". Any
+ * other error, a refused configuration or a failed verify() among
+ * them, propagates.
  */
 RunResult runWorkload(Workload &workload, const RunSpec &spec);
 
@@ -200,18 +221,18 @@ using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
 /** Outcome of one spec within runWorkloadMany. */
 struct RunOutcome
 {
-    /** False when the configuration was infeasible (FatalError). */
+    /** False when the placement did not fit (PlacementError). */
     bool ok = false;
     RunResult result;
-    std::string error; ///< FatalError message when !ok
+    std::string error; ///< PlacementError message when !ok
 };
 
 /**
  * Run one workload instance per spec, concurrently on the global
  * util::ThreadPool. outcome[i] corresponds to specs[i]; results are
  * bitwise independent of the job count because every run is a
- * self-contained simulation. FatalError (infeasible configuration) is
- * captured per-outcome; any other exception propagates.
+ * self-contained simulation. PlacementError (memory that does not
+ * fit) is captured per-outcome; any other exception propagates.
  */
 std::vector<RunOutcome> runWorkloadMany(const WorkloadFactory &factory,
                                         const std::vector<RunSpec> &specs);

@@ -56,8 +56,8 @@ class Memory
 
     /**
      * Allocate @p bytes (aligned to @p align) and return the byte
-     * offset. Throws FatalError when the tier is full — callers use
-     * this to reproduce the paper's "does not fit in WRAM" cases.
+     * offset. Throws PlacementError when the tier is full — callers
+     * use this to reproduce the paper's "does not fit in WRAM" cases.
      * Allocation only moves the break; host bytes materialize on
      * first write.
      */
@@ -67,9 +67,9 @@ class Memory
         panicIf(!isPow2(align), "alignment must be a power of two");
         const size_t start = alignUp(brk_, align);
         if (start + bytes > capacity_) {
-            fatal(tierName(tier_), " allocation of ", bytes,
-                  " bytes does not fit (", available(), " of ",
-                  capacity(), " bytes free)");
+            fatalPlacement(tierName(tier_), " allocation of ", bytes,
+                           " bytes does not fit (", available(), " of ",
+                           capacity(), " bytes free)");
         }
         brk_ = start + bytes;
         return static_cast<u32>(start);

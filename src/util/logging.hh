@@ -25,6 +25,17 @@ class FatalError : public std::runtime_error
     {}
 };
 
+/**
+ * The FatalError of a placement that does not fit in simulated memory
+ * (e.g. WRAM metadata): the paper's "not runnable" configurations,
+ * which sweeps print as n/a instead of failing.
+ */
+class PlacementError : public FatalError
+{
+  public:
+    using FatalError::FatalError;
+};
+
 /** Thrown on internal invariant violations (simulator bugs). */
 class PanicError : public std::logic_error
 {
@@ -59,6 +70,16 @@ fatal(const Args &...args)
     std::ostringstream os;
     detail::formatInto(os, args...);
     throw FatalError(os.str());
+}
+
+/** Abort the current operation: a placement does not fit. */
+template <typename... Args>
+[[noreturn]] void
+fatalPlacement(const Args &...args)
+{
+    std::ostringstream os;
+    detail::formatInto(os, args...);
+    throw PlacementError(os.str());
 }
 
 /** Abort due to an internal bug. */

@@ -49,22 +49,21 @@ constexpr unsigned kTasklets = 2;
 /** One crash-recover-restart execution of the transfer program. */
 struct TransferRun
 {
-    unsigned crashes = 0;
-    RecoveryReport recovered; ///< summed over all recovery passes
-    StmStats stm;
+    u64 crashes = 0; ///< whole-DPU crashes delivered, summed over rounds
+    StmStats stm;    ///< recoveries and log replay counts included
 };
 
 /**
- * Run the bank-transfer program under @p plan with durable mode on:
- * each transaction moves one unit between two random accounts, so the
- * total balance is conserved across commits, aborts, crashes,
+ * Run the bank-transfer program under @p plan with durable mode on,
+ * through runtime::launch — the crash-restart loop every launcher
+ * uses. Each transaction moves one unit between two random accounts,
+ * so the total balance is conserved across commits, aborts, crashes,
  * recoveries and restarts — including transactions that committed
  * durably but whose host-side bookkeeping died with the DPU (their
  * re-execution after restart is a new transfer, not a double-apply).
  */
 TransferRun
-runTransfersWithRecovery(StmKind kind, const FaultPlan &plan,
-                         unsigned max_restarts = 64)
+runTransfersWithRecovery(StmKind kind, const FaultPlan &plan)
 {
     DpuConfig dpu_cfg;
     dpu_cfg.mram_bytes = 1 * 1024 * 1024;
@@ -88,42 +87,26 @@ runTransfersWithRecovery(StmKind kind, const FaultPlan &plan,
     // cannot revert it. The driver does the same after Workload::setup.
     dpu.mram().fence();
 
-    const auto body = [&](DpuContext &ctx) {
-        for (u32 t = 0; t < kTxPerTasklet; ++t) {
-            atomically(*stm, ctx, [&](TxHandle &tx) {
-                const u32 src =
-                    static_cast<u32>(ctx.rng().below(kAccounts));
-                const u32 dst =
-                    static_cast<u32>(ctx.rng().below(kAccounts));
-                const u32 s = tx.read(accounts.at(src));
-                const u32 d = tx.read(accounts.at(dst));
-                if (src == dst || s == 0)
-                    return;
-                tx.write(accounts.at(src), s - 1);
-                tx.write(accounts.at(dst), d + 1);
-            });
-        }
-    };
-
     TransferRun out;
-    dpu.addTasklets(kTasklets, body);
-    for (;;) {
-        try {
-            dpu.run();
-            break;
-        } catch (const DpuCrashError &) {
-            ++out.crashes;
-            if (out.crashes > max_restarts)
-                throw; // fail the test loudly instead of spinning
-            dpu.resetRun(/*reset_faults=*/false);
-            const RecoveryReport rep = stm->recoverAfterCrash();
-            out.recovered.redone += rep.redone;
-            out.recovered.undone += rep.undone;
-            out.recovered.discarded += rep.discarded;
-            out.recovered.torn += rep.torn;
-            dpu.addTasklets(kTasklets, body);
-        }
-    }
+    runtime::launch(
+        dpu, *stm, kTasklets, kTasklets,
+        [&](DpuContext &ctx, size_t) {
+            for (u32 t = 0; t < kTxPerTasklet; ++t) {
+                atomically(*stm, ctx, [&](TxHandle &tx) {
+                    const u32 src =
+                        static_cast<u32>(ctx.rng().below(kAccounts));
+                    const u32 dst =
+                        static_cast<u32>(ctx.rng().below(kAccounts));
+                    const u32 s = tx.read(accounts.at(src));
+                    const u32 d = tx.read(accounts.at(dst));
+                    if (src == dst || s == 0)
+                        return;
+                    tx.write(accounts.at(src), s - 1);
+                    tx.write(accounts.at(dst), d + 1);
+                });
+            }
+        },
+        [&](const Dpu &d) { out.crashes += d.stats().dpu_crashes; });
 
     u64 sum = 0;
     for (u32 i = 0; i < kAccounts; ++i)
@@ -181,7 +164,7 @@ TEST_P(Durable, TornWriteSeedDifferentialKeepsInvariant)
     // revert 8B, tear low half, tear high half), so recovery sees
     // different flushed prefixes and torn records — and must reach a
     // consistent state from every one of them.
-    RecoveryReport total;
+    StmStats total;
     unsigned crashes = 0;
     for (unsigned seed = 0; seed < 8; ++seed) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -190,13 +173,12 @@ TEST_P(Durable, TornWriteSeedDifferentialKeepsInvariant)
             FaultPlan::parse("dpu-crash=25;dpu-crash=60;seed=" +
                              std::to_string(seed)));
         crashes += r.crashes;
-        total.redone += r.recovered.redone;
-        total.undone += r.recovered.undone;
-        total.discarded += r.recovered.discarded;
-        total.torn += r.recovered.torn;
+        EXPECT_EQ(r.stm.recoveries, r.crashes);
+        total += r.stm;
     }
     EXPECT_GT(crashes, 0u) << "no crash ever fired across the seeds";
-    EXPECT_GT(total.redone + total.undone + total.discarded + total.torn,
+    EXPECT_GT(total.log_redone + total.log_undone + total.log_discarded +
+                  total.torn_logs,
               0u)
         << "recovery never found any log activity across the seeds";
 }
@@ -473,6 +455,30 @@ TEST(DurableDriver, CrashRestartLoopCompletesRuns)
     }
 }
 
+TEST(DurableDriver, EveryCrashOfADensePlanIsRecovered)
+{
+    // Twenty crash points, one launch: each point fires once per DPU
+    // lifetime and the op count keeps growing across restarts, so the
+    // loop recovers all twenty and ends without a restart budget.
+    std::string plan = "dpu-crash=40";
+    for (unsigned op = 80; op <= 800; op += 40)
+        plan += ";dpu-crash=" + std::to_string(op);
+    for (StmKind kind : {StmKind::NOrec, StmKind::TinyEtlWt}) {
+        SCOPED_TRACE(stmKindName(kind));
+        runtime::RunSpec spec;
+        spec.kind = kind;
+        spec.tasklets = 4;
+        spec.mram_bytes = 8 * 1024 * 1024;
+        spec.stm.durable = true;
+        spec.faults = FaultPlan::parse(plan);
+
+        TransferWl wl;
+        const auto r = runtime::runWorkload(wl, spec);
+        EXPECT_EQ(r.dpu.dpu_crashes, 20u);
+        EXPECT_EQ(r.stm.recoveries, 20u);
+    }
+}
+
 TEST(DurableDriver, NonDurableRunPropagatesTheCrash)
 {
     runtime::RunSpec spec;
@@ -497,8 +503,14 @@ namespace
  * fragments; plain puts are idempotent, so at-least-once re-execution
  * after a shard crash is invisible.
  */
-hostapp::TwoPcStats
-runDurableKvChurn(const std::string &fault_spec)
+struct KvChurn
+{
+    hostapp::TwoPcStats two_pc;
+    StmStats stm; ///< summed over the shards
+};
+
+KvChurn
+runDurableKvChurn(StmKind kind, const std::string &fault_spec)
 {
     constexpr unsigned kShards = 4;
     constexpr u32 kTokens = 16;
@@ -507,7 +519,7 @@ runDurableKvChurn(const std::string &fault_spec)
     hostapp::DistributedKvConfig cfg;
     cfg.shards = kShards;
     cfg.capacity_per_shard = 256;
-    cfg.kind = StmKind::TinyEtlWt; // in-place kind: exercises undo logs
+    cfg.kind = kind;
     cfg.tasklets_per_dpu = 4;
     cfg.mram_bytes = 1 * 1024 * 1024;
     cfg.durable = true;
@@ -543,7 +555,7 @@ runDurableKvChurn(const std::string &fault_spec)
     }
     std::sort(values.begin(), values.end());
     EXPECT_EQ(values, seeded_values) << "token values not conserved";
-    return kv.stats();
+    return {kv.stats(), kv.stmStats()};
 }
 
 } // namespace
@@ -554,17 +566,40 @@ TEST(DurableDistributedKv, ShardCrashesRecoverAndConserveTokens)
     // in place and the launch re-runs only the unacknowledged items.
     // Sweep a few crash points so at least one plan fires on at least
     // one shard (op counts differ per shard and per point).
+    // TinyEtlWt writes in place, so a crash mid-transaction leaves an
+    // undo log for recovery to roll back.
     u64 recoveries = 0;
     u64 persists = 0;
+    u64 undone = 0;
     for (unsigned op : {25u, 60u, 110u, 190u}) {
         SCOPED_TRACE("dpu-crash=" + std::to_string(op));
-        const auto stats = runDurableKvChurn(
+        const auto churn = runDurableKvChurn(
+            StmKind::TinyEtlWt,
             "dpu-crash=" + std::to_string(op) + ";seed=3");
-        recoveries += stats.shard_recoveries;
-        persists += stats.wal_persists;
+        EXPECT_EQ(churn.stm.recoveries, churn.two_pc.shard_recoveries);
+        recoveries += churn.two_pc.shard_recoveries;
+        persists += churn.two_pc.wal_persists;
+        undone += churn.stm.log_undone;
     }
     EXPECT_GT(recoveries, 0u) << "no shard crash was ever delivered";
     EXPECT_GT(persists, 0u) << "no commit decision was ever persisted";
+    EXPECT_GT(undone, 0u) << "no shard recovery rolled back an undo log";
+}
+
+TEST(DurableDistributedKv, NOrecShardsReplayRedoLogsUnderADensePlan)
+{
+    // NOrec writes back at commit, so recovery redoes the committed
+    // redo logs a crash leaves behind. The plan is serve_kv's 17-point
+    // one (dpu-crash=50..850, every 50 ops); denser plans crash before
+    // any transaction commits.
+    std::string plan = "seed=3";
+    for (unsigned op = 50; op <= 850; op += 50)
+        plan += ";dpu-crash=" + std::to_string(op);
+    const auto churn = runDurableKvChurn(StmKind::NOrec, plan);
+    EXPECT_GT(churn.two_pc.shard_recoveries, 0u);
+    EXPECT_EQ(churn.stm.recoveries, churn.two_pc.shard_recoveries);
+    EXPECT_GT(churn.stm.log_redone, 0u)
+        << "no shard recovery replayed a committed redo log";
 }
 
 namespace {
