@@ -280,26 +280,6 @@ BoostedMap::erase(TxHandle &tx, u32 key)
     return true;
 }
 
-u32
-BoostedMap::size(TxHandle &tx)
-{
-    panicIf(!map_.sizeCountersEnabled(),
-            "BoostedMap::size() without enableSizeCounters()");
-    StructureScope scope(tx.descriptor(), sid_);
-    // size() does not commute with any mutation: take every stripe
-    // shared (ascending order — deadlock-free against acquireKeys).
-    for (u32 s = 0; s < locks_.numStripes(); ++s)
-        locks_.acquireStripe(tx, s, false);
-    // With all stripes read-held no mutation is in flight; sum the
-    // shards directly — one timed read per shard, the same charge
-    // shape as the word-based transactional sum.
-    auto &ctx = tx.ctx();
-    u32 n = 0;
-    for (u32 shard = 0; shard < map_.sizeShardCount(); ++shard)
-        n += ctx.read32(map_.sizeShardAddr(shard));
-    return n;
-}
-
 //
 // BoostedQueue
 //

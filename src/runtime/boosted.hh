@@ -195,14 +195,6 @@ class BoostedMap
     /** Erase; false when absent. */
     bool erase(core::TxHandle &tx, u32 key);
 
-    /**
-     * Element count (requires enableSizeCounters on the underlying
-     * map). Inherently non-commuting with every mutation: acquires all
-     * stripes shared — a whole-structure read lock — then sums the
-     * counter shards directly.
-     */
-    u32 size(core::TxHandle &tx);
-
     AbstractLockManager &locks() { return locks_; }
     TxHashMap &map() { return map_; }
 
@@ -250,8 +242,6 @@ class BoostedSet
     {
         return inner_.erase(tx, value);
     }
-
-    u32 size(core::TxHandle &tx) { return inner_.size(tx); }
 
     AbstractLockManager &locks() { return inner_.locks(); }
 

@@ -21,15 +21,6 @@
  *                   the abstract level instead (docs/boosting.md).
  * The direct path additionally captures displaced values so the
  * boosted layer can log semantic inverse operations.
- *
- * size() is backed by optional per-tasklet sharded counters: each
- * tasklet increments its own shard word, so concurrent inserts to
- * different keys no longer collide on one shared counter word (a
- * standing false-conflict hotspot when callers kept an external
- * count); size() sums the shards transactionally on read. Shards are
- * u32 words updated with wrapping arithmetic — an individual shard
- * may underflow when one tasklet erases what another inserted, but
- * the mod-2^32 sum is exact.
  */
 
 #ifndef PIMSTM_RUNTIME_TX_HASHMAP_HH
@@ -52,7 +43,6 @@ struct TxAccess
 
     u32 read(sim::Addr a) { return tx.read(a); }
     void write(sim::Addr a, u32 v) { tx.write(a, v); }
-    unsigned taskletId() { return tx.ctx().taskletId(); }
 };
 
 /** Accessor running map internals as raw timed accesses. */
@@ -63,7 +53,6 @@ struct DirectAccess
 
     u32 read(sim::Addr a) { return ctx.read32(a); }
     void write(sim::Addr a, u32 v) { ctx.write32(a, v); }
-    unsigned taskletId() { return ctx.taskletId(); }
 };
 
 /** Outcome of an insert (the boosted layer needs the distinction to
@@ -103,53 +92,6 @@ class TxHashMap
     validKey(u32 key)
     {
         return key != kEmpty && key != kTombstone;
-    }
-
-    /**
-     * Allocate @p shards per-tasklet size-counter words in @p tier and
-     * start maintaining them. Opt-in (and only legal on an empty map)
-     * so maps that never call size() pay nothing — and existing
-     * memory layouts stay bitwise identical.
-     */
-    void
-    enableSizeCounters(sim::Dpu &dpu, Tier tier, u32 shards)
-    {
-        panicIf(shards == 0, "TxHashMap size counters need >= 1 shard");
-        panicIf(size_shard_count_ != 0,
-                "TxHashMap size counters enabled twice");
-        panicIf(population(dpu) != 0,
-                "TxHashMap size counters must be enabled while empty");
-        size_shard_count_ = shards;
-        size_shards_ = SharedArray32(dpu, tier, shards);
-        size_shards_.fill(dpu, 0);
-    }
-
-    bool sizeCountersEnabled() const { return size_shard_count_ != 0; }
-
-    /** @{ Counter-shard layout, for the boosted layer's direct
-     * summing (BoostedMap::size holds every stripe shared instead of
-     * reading the shards transactionally). */
-    u32 sizeShardCount() const { return size_shard_count_; }
-
-    sim::Addr
-    sizeShardAddr(u32 shard) const
-    {
-        return size_shards_.at(shard);
-    }
-    /** @} */
-
-    /** Sum the sharded counters transactionally. */
-    u32
-    size(core::TxHandle &tx)
-    {
-        panicIf(size_shard_count_ == 0,
-                "TxHashMap::size() without enableSizeCounters()");
-        core::StructureScope scope(tx.descriptor(),
-                                   static_cast<core::StructureId>(sid_));
-        u32 n = 0;
-        for (u32 s = 0; s < size_shard_count_; ++s)
-            n += tx.read(size_shards_.at(s));
-        return n;
     }
 
     /** Tag this instance for per-structure trace attribution
@@ -235,8 +177,6 @@ class TxHashMap
     {
         keys_.fill(dpu, kEmpty);
         values_.fill(dpu, 0);
-        if (size_shard_count_ != 0)
-            size_shards_.fill(dpu, 0);
     }
 
     /** Untimed host-side population count (verification). */
@@ -292,7 +232,6 @@ class TxHashMap
                     : slot;
                 a.write(keys_.at(target), key);
                 a.write(values_.at(target), value);
-                bumpSize(a, 1);
                 return InsertOutcome::Inserted;
             }
             slot = (slot + 1) & (capacity_ - 1);
@@ -301,7 +240,6 @@ class TxHashMap
             a.write(keys_.at(static_cast<u32>(first_tombstone)), key);
             a.write(values_.at(static_cast<u32>(first_tombstone)),
                     value);
-            bumpSize(a, 1);
             return InsertOutcome::Inserted;
         }
         return InsertOutcome::Full;
@@ -336,7 +274,6 @@ class TxHashMap
                 if constexpr (A::kCaptureOld)
                     old_value = a.read(values_.at(slot));
                 a.write(keys_.at(slot), kTombstone);
-                bumpSize(a, static_cast<u32>(-1));
                 return true;
             }
             if (k == kEmpty)
@@ -344,19 +281,6 @@ class TxHashMap
             slot = (slot + 1) & (capacity_ - 1);
         }
         return false;
-    }
-
-    /** Wrapping add to the calling tasklet's counter shard; a no-op
-     * (and charge-free) unless counters were enabled. */
-    template <typename A>
-    void
-    bumpSize(A &a, u32 delta)
-    {
-        if (size_shard_count_ == 0)
-            return;
-        const sim::Addr c =
-            size_shards_.at(a.taskletId() % size_shard_count_);
-        a.write(c, a.read(c) + delta);
     }
 
     u32
@@ -368,8 +292,6 @@ class TxHashMap
     u32 capacity_ = 0;
     SharedArray32 keys_;
     SharedArray32 values_;
-    SharedArray32 size_shards_;
-    u32 size_shard_count_ = 0;
     u8 sid_ = static_cast<u8>(core::StructureId::Map);
 };
 

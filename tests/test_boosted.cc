@@ -310,94 +310,6 @@ TEST(BoostedSetTest, AddContainsRemoveSemantics)
 }
 
 //
-// Sharded size counters (satellite: TxHashMap::size()).
-//
-
-TEST(TxHashMapSize, ShardedCountersTrackSizeTransactionally)
-{
-    Dpu dpu(smallDpu());
-    StmConfig cfg;
-    cfg.num_tasklets = 5; // 4 workers + the later size-reading tasklet
-    cfg.max_read_set = 128;
-    auto stm = std::make_unique<Stm>(dpu, cfg);
-    TxHashMap map(dpu, Tier::Mram, 256);
-    map.enableSizeCounters(dpu, Tier::Mram, 4);
-
-    dpu.addTasklets(4, [&](DpuContext &ctx) {
-        const u32 t = ctx.taskletId();
-        for (u32 i = 0; i < 20; ++i) {
-            atomically(*stm, ctx, [&](TxHandle &tx) {
-                map.insert(tx, t * 32 + i, i);
-            });
-        }
-        for (u32 i = 0; i < 5; ++i) {
-            atomically(*stm, ctx, [&](TxHandle &tx) {
-                map.erase(tx, t * 32 + i);
-            });
-        }
-    });
-    dpu.run();
-
-    u32 size = 0;
-    dpu.addTasklet([&](DpuContext &ctx) {
-        atomically(*stm, ctx,
-                   [&](TxHandle &tx) { size = map.size(tx); });
-    });
-    dpu.run();
-    EXPECT_EQ(size, 4u * 15u);
-}
-
-TEST(TxHashMapSize, BoostedSizeSumsShardsUnderFullSharedLock)
-{
-    Dpu dpu(smallDpu());
-    // 2 workers + the later size-reading tasklet.
-    auto stm = makeBoostedStm(dpu, StmKind::TinyEtlWb, 3);
-    TxHashMap map(dpu, Tier::Mram, 128);
-    map.enableSizeCounters(dpu, Tier::Mram, 4);
-    BoostedMap bmap(dpu, *stm, map);
-
-    dpu.addTasklets(2, [&](DpuContext &ctx) {
-        const u32 t = ctx.taskletId();
-        for (u32 i = 0; i < 10; ++i) {
-            atomically(*stm, ctx, [&](TxHandle &tx) {
-                bmap.insert(tx, t * 16 + i, i);
-            });
-        }
-    });
-    dpu.run();
-
-    u32 size = 0;
-    dpu.addTasklet([&](DpuContext &ctx) {
-        atomically(*stm, ctx,
-                   [&](TxHandle &tx) { size = bmap.size(tx); });
-    });
-    dpu.run();
-    EXPECT_EQ(size, 20u);
-    EXPECT_TRUE(bmap.locks().quiescent());
-}
-
-TEST(TxHashMapSize, EnableTwiceOrNonEmptyPanics)
-{
-    Dpu dpu(smallDpu());
-    TxHashMap map(dpu, Tier::Mram, 64);
-    map.enableSizeCounters(dpu, Tier::Mram, 2);
-    EXPECT_THROW(map.enableSizeCounters(dpu, Tier::Mram, 2),
-                 PanicError);
-
-    TxHashMap map2(dpu, Tier::Mram, 64);
-    StmConfig cfg;
-    cfg.num_tasklets = 1;
-    auto stm = std::make_unique<Stm>(dpu, cfg);
-    dpu.addTasklet([&](DpuContext &ctx) {
-        atomically(*stm, ctx,
-                   [&](TxHandle &tx) { map2.insert(tx, 1, 1); });
-    });
-    dpu.run();
-    EXPECT_THROW(map2.enableSizeCounters(dpu, Tier::Mram, 2),
-                 PanicError);
-}
-
-//
 // BoostedQueue.
 //
 
